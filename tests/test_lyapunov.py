@@ -266,3 +266,40 @@ class TestLongRunBoundedness:
         first = max(series[:half])
         last = max(series[half:])
         assert last <= 1.1 * first
+
+
+class TestKernelValuesMatchKernel:
+    """The batched one-step kernel equals refresh then Verlet, draw by draw."""
+
+    @pytest.mark.parametrize("variant", ["torus", "gauss"])
+    def test_bitwise_per_draw(self, variant):
+        from mfkl.lyapunov import kernel_values_monte_carlo
+
+        rng = RngStream(12)
+        n, d, draws = 4, 2, 1000
+        if variant == "torus":
+            model = m.torus_trig_model(0.3, 0.2, d=d)
+            positions = rng.uniforms(n * d).reshape(n, d)
+            spec = LyapunovSpec(kind=m.VELOCITY_SIXTH)
+        else:
+            model = m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=d)
+            positions = rng.normal_matrix((n, d))
+            spec = LyapunovSpec(
+                kind=m.ENERGY_CUBED, alpha=0.1, v_ref=model.external_potential
+            )
+        state = ParticleState(positions, rng.normal_matrix((n, d)), model.space)
+        params = ChainParams(h=0.1, gamma=1.0, n_steps=1)
+        values = kernel_values_monte_carlo(model, state, params, spec, draws, RngStream(5))
+        gaussians = RngStream(5).normal_matrix((draws, n, d))
+        expected = [
+            m.lyapunov_value(
+                spec,
+                m.verlet_step(
+                    model,
+                    m.refresh_velocities(state, params.eta, gaussians=gaussians[k]),
+                    params.h,
+                ),
+            )
+            for k in range(draws)
+        ]
+        assert np.array_equal(values, np.asarray(expected))

@@ -284,3 +284,88 @@ def test_torus_positions_stay_canonical(torus_model):
     )
     new = m.verlet_step(torus_model, state, 0.3)
     assert (new.positions >= 0.0).all() and (new.positions < 1.0).all()
+
+
+# Reference pair sums: the hand-written closures the Gaussian and torus
+# models were first defined with.  The models must reproduce them exactly.
+
+
+def _reference_gauss(big_l, s, r):
+    from mfkl.model import ordered_mean, ordered_sum
+
+    def pair_grad(x, y):
+        delta = x - y
+        sq = np.sum(delta * delta, axis=-1, keepdims=True)
+        return (-2.0 * big_l) * np.exp(-sq) * delta + 2.0 * s * delta
+
+    def force(positions, x):
+        pair = pair_grad(np.broadcast_to(x, positions.shape), positions)
+        return r * x + ordered_sum(pair, axis=-2) / positions.shape[-2]
+
+    def force_all(positions):
+        n = positions.shape[-2]
+        pair = pair_grad(positions[..., :, None, :], positions[..., None, :, :])
+        return r * positions + ordered_sum(pair, axis=-2) / n
+
+    def energy(positions):
+        n = positions.shape[-2]
+        ext = 0.5 * r * ordered_mean(np.sum(positions * positions, axis=-1), axis=-1)
+        delta = positions[..., :, None, :] - positions[..., None, :, :]
+        sq = np.sum(delta * delta, axis=-1)
+        pair = big_l * np.exp(-sq) + s * sq
+        inter = ordered_sum(pair.reshape(pair.shape[:-2] + (n * n,)), axis=-1)
+        return ext + inter / (2.0 * n * n)
+
+    return force, force_all, energy
+
+
+def _reference_torus(a, b, space):
+    from mfkl.model import ordered_mean, ordered_sum
+
+    two_pi = 2.0 * np.pi
+
+    def grad_v(x):
+        return -two_pi * a * np.sin(two_pi * x)
+
+    def pair_grad(x, y):
+        return -two_pi * b * np.sin(two_pi * space.min_image(x - y))
+
+    def force(positions, x):
+        pair = pair_grad(np.broadcast_to(x, positions.shape), positions)
+        return grad_v(x) + ordered_sum(pair, axis=-2) / positions.shape[-2]
+
+    def force_all(positions):
+        n = positions.shape[-2]
+        pair = pair_grad(positions[..., :, None, :], positions[..., None, :, :])
+        return grad_v(positions) + ordered_sum(pair, axis=-2) / n
+
+    def energy(positions):
+        n = positions.shape[-2]
+        ext = ordered_mean(np.sum(a * np.cos(two_pi * positions), axis=-1), axis=-1)
+        delta = space.min_image(positions[..., :, None, :] - positions[..., None, :, :])
+        pair = np.sum(b * np.cos(two_pi * delta), axis=-1)
+        inter = ordered_sum(pair.reshape(pair.shape[:-2] + (n * n,)), axis=-1)
+        return ext + inter / (2.0 * n * n)
+
+    return force, force_all, energy
+
+
+@pytest.mark.parametrize("variant, d", [("gauss", 1), ("gauss", 2), ("torus", 2)])
+def test_pair_models_match_reference_sums(variant, d):
+    rng = m.RngStream(41 + d)
+    if variant == "gauss":
+        model = m.gauss_attract_repel_model(0.9, 0.15, 1.3, d=d)
+        force, force_all, energy = _reference_gauss(0.9, 0.15, 1.3)
+        x = rng.normal_matrix((4, 7, d))
+    else:
+        model = m.torus_trig_model(0.3, -0.2, d=d)
+        force, force_all, energy = _reference_torus(0.3, -0.2, model.space)
+        x = rng.uniforms(4 * 7 * d).reshape(4, 7, d)
+    # batched force over a leading axis of four systems
+    assert np.array_equal(model.force_all(x), force_all(x))
+    for system in x:
+        assert np.array_equal(model.force_all(system), force_all(system))
+        for row in system:
+            assert np.array_equal(model.force(system, row), force(system, row))
+    expected = energy(x)
+    assert np.all(np.abs(model.energy(x) - expected) <= 1e-15 * np.abs(expected))

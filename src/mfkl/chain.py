@@ -19,7 +19,8 @@ from .errors import (
     ObserverError,
     StepSizeWarning,
 )
-from .model import ParticleState, Space, potential_gradient
+from .model import ParticleState, potential_gradient
+from .rng import RngStream, derive_seed
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,17 @@ def warn_if_step_large(params, coeffs):
         )
 
 
+def _verlet(model, space, x, v, h, g0):
+    """Raw-array Verlet step from the leading gradient ``g0``.
+
+    Drift, wrap onto the space, trailing gradient, kick; returns
+    ``(x_new, v_new, g1)``.  ``g0`` broadcasts against batched ``x``/``v``.
+    """
+    x_new = space.wrap(x + h * v - (0.5 * h * h) * g0)
+    g1 = potential_gradient(model, x_new)
+    return x_new, v - (0.5 * h) * (g0 + g1), g1
+
+
 def verlet_step(model, state, h, leading_gradient=None):
     """One Verlet step of the Hamiltonian with the N-particle potential.
 
@@ -90,13 +102,12 @@ def verlet_step_cached(model, state, h, leading_gradient=None):
     g0 = leading_gradient
     if g0 is None:
         g0 = potential_gradient(model, state.positions)
-    x_new = state.positions + h * state.velocities - (0.5 * h * h) * g0
-    x_new = state.space.wrap(x_new)
     try:
-        g1 = potential_gradient(model, x_new)
+        x_new, v_new, g1 = _verlet(
+            model, state.space, state.positions, state.velocities, h, g0
+        )
     except NumericalDomainError as err:
         raise NumericalDomainError(f"trailing gradient failed mid-step: {err}") from err
-    v_new = state.velocities - (0.5 * h) * (g0 + g1)
     if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
         raise NumericalDomainError("non-finite state after Verlet update")
     return ParticleState(x_new, v_new, state.space), g1
@@ -157,13 +168,11 @@ def run_chain(model, init, params, observers=(), rng=None):
     Returns ``(final_state, records)`` where ``records`` lists each
     observer's collected records.  The trailing Verlet gradient is reused as
     the next leading gradient (the refresh does not move positions), which
-    is bitwise identical to the naive two-evaluations-per-step kernel; the
-    loop below performs exactly the arithmetic of ``refresh_velocities``
-    followed by ``verlet_step_cached`` on raw arrays.
+    is bitwise identical to the naive two-evaluations-per-step kernel.  The
+    loop works on raw arrays: the refresh inline, then the same Verlet step
+    as :func:`verlet_step_cached`.
     """
     if rng is None:
-        from .rng import RngStream
-
         rng = RngStream(params.master_seed)
     warn_if_step_large(params, model.coeffs)
     if init.space.d != model.space.d or init.space.kind != model.space.kind:
@@ -177,20 +186,15 @@ def run_chain(model, init, params, observers=(), rng=None):
     eta = params.eta
     sigma = np.sqrt(1.0 - eta * eta)
     h = params.h
-    half_h = 0.5 * h
-    half_h_sq = 0.5 * h * h
     gradient = None
     for step in range(1, params.n_steps + 1):
         v = eta * v + sigma * rng.normal_matrix(v.shape)
         if gradient is None:
             gradient = potential_gradient(model, x)
-        x = space.wrap(x + h * v - half_h_sq * gradient)
         try:
-            trailing = potential_gradient(model, x)
+            x, v, gradient = _verlet(model, space, x, v, h, gradient)
         except NumericalDomainError as err:
             raise NumericalDomainError(f"step {step}: {err}") from err
-        v = v - half_h * (gradient + trailing)
-        gradient = trailing
         if not np.isfinite(v).all():
             raise NumericalDomainError(f"step {step}: non-finite velocities")
         if observers:
@@ -235,3 +239,15 @@ def sample_initial(law, n_particles, space, rng):
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
     velocities = rng.normal_matrix((n_particles, d))
     return ParticleState(positions, velocities, space)
+
+
+def run_replica(model, init_law, n_particles, params, k, observers=()):
+    """Chain replica ``k``: the one place replica seeds are derived.
+
+    Replica ``k`` runs on its own stream seeded ``derive_seed(master_seed,
+    k)``, draws its initial state from ``init_law`` on that stream, then
+    continues the same stream in :func:`run_chain`.
+    """
+    rng = RngStream(derive_seed(params.master_seed, k))
+    init = sample_initial(init_law, n_particles, model.space, rng)
+    return run_chain(model, init, params, observers, rng)

@@ -15,7 +15,7 @@ Exit codes: 2 bad config, 3 numerical domain error, 4 non-convergence,
 import argparse
 import sys
 
-from .errors import MfklError
+from .errors import ConfigurationError, MfklError
 from .harness import EXPERIMENT_KINDS, emit_report, load_config, run_experiment
 
 
@@ -37,15 +37,13 @@ def main(argv=None):
     try:
         if args.kind == "report":
             if not args.out:
-                raise MfklError("report needs --out pointing at a results directory")
+                raise ConfigurationError("report needs --out pointing at a results directory")
             sys.stdout.write(emit_report(args.out))
             return 0
         if not args.config:
-            raise MfklError(f"kind {args.kind!r} needs --config")
+            raise ConfigurationError(f"kind {args.kind!r} needs --config")
         config = load_config(args.config)
         if config["kind"] != args.kind:
-            from .errors import ConfigurationError
-
             raise ConfigurationError(
                 f"config kind {config['kind']!r} does not match CLI kind {args.kind!r}"
             )

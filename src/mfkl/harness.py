@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .chain import ChainParams, Observer, run_chain, sample_initial
+from .chain import ChainParams, Observer, run_chain, run_replica, sample_initial
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -233,7 +233,12 @@ def resolve_threads(explicit=None):
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get("MFKL_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigurationError(f"MFKL_THREADS must be an integer, got {env!r}") from None
 
 
 def decaying_segment(tv_series, floor, head=0.85, tail_factor=2.5):
@@ -284,25 +289,16 @@ def _run_sample(config, out_dir):
     return {}
 
 
-def _stationary_estimate(model, config, params, f, n_particles, rep_seed):
-    """Time-averaged observable over the post-burn-in trajectory."""
-    rng = RngStream(rep_seed)
-    init = sample_initial(config["init"], n_particles, model.space, rng)
-    stride = config.get("stride", 10)
-    burn = config.get("burn_in", 0.2)
-    first_kept = int(burn * params.n_steps)
-    values = []
-
-    def visit(step, state):
-        if step >= first_kept:
-            values.append(float(np.mean(f(state.positions))))
-
-    run_chain(model, init, params, [Observer(visit, stride=stride)], rng)
-    return float(np.mean(values))
-
-
 def _run_sweep_h(config, out_dir):
     _require(config, "model", "n_particles", "chain", "init", "h_grid", "observable")
+    stride = config.get("stride", 10)
+    n_steps = config["chain"].get("n_steps", 0)
+    first_kept = int(config.get("burn_in", 0.2) * n_steps)
+    if n_steps - n_steps % stride < first_kept:
+        raise ConfigurationError(
+            f"no observer record falls after burn-in (stride {stride}, "
+            f"n_steps {n_steps}, first kept step {first_kept})"
+        )
     model = make_builtin_model(config["model"])
     obs_id, f, _ = _observable(config)
     oracle_value = (
@@ -310,20 +306,26 @@ def _run_sweep_h(config, out_dir):
         if "oracle_mean" in config
         else reference_expectation(_oracle_density(config, model), lambda x: f(x[:, None]))
     )
+
+    def stationary_estimate(params, k):
+        """Time-averaged observable over the post-burn-in trajectory of replica k."""
+        values = []
+
+        def visit(step, state):
+            if step >= first_kept:
+                values.append(float(np.mean(f(state.positions))))
+
+        obs = Observer(visit, stride=stride)
+        run_replica(model, config["init"], config["n_particles"], params, k, [obs])
+        return float(np.mean(values))
+
     reps = config.get("reps", 4)
     gate_lo, gate_hi = config.get("slope_gate", [1.5, 2.5])
     rows = []
     biases = []
     for h in config["h_grid"]:
         params = _chain_params(config, h_override=h)
-        estimates = [
-            _stationary_estimate(
-                model, config, params, f, config["n_particles"],
-                derive_seed(params.master_seed, k),
-            )
-            for k in range(reps)
-        ]
-        estimates = np.asarray(estimates)
+        estimates = np.asarray([stationary_estimate(params, k) for k in range(reps)])
         bias = float(estimates.mean() - oracle_value)
         std_err = float(estimates.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         biases.append(abs(bias))
@@ -387,10 +389,8 @@ def _run_converge(config, out_dir):
 
     pooled = {}
     for k in range(reps):
-        rng = RngStream(derive_seed(params.master_seed, k))
-        init = sample_initial(config["init"], n_particles, model.space, rng)
         obs = Observer(lambda step, state: (step, state.positions[:, 0].copy()), stride=stride)
-        run_chain(model, init, params, [obs], rng)
+        run_replica(model, config["init"], n_particles, params, k, [obs])
         for step, xs in obs.records:
             pooled.setdefault(step, []).append(xs)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _verlet
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -112,10 +113,7 @@ def kernel_values_monte_carlo(model, state, params, spec, m_draws, rng):
     eta = params.eta
     v_mid = eta * state.velocities + math.sqrt(1.0 - eta * eta) * gaussians
     g0 = potential_gradient(model, state.positions)
-    h = params.h
-    x_new = state.space.wrap(state.positions + h * v_mid - 0.5 * h * h * g0)
-    g1 = potential_gradient(model, x_new)
-    v_new = v_mid - 0.5 * h * (g0 + g1)
+    x_new, v_new, _ = _verlet(model, state.space, state.positions, v_mid, params.h, g0)
     return _values_batched(spec, x_new, v_new)
 
 

@@ -12,7 +12,7 @@ force evaluation bitwise permutation-equivariant.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,10 +52,15 @@ class Space:
         return self.kind == TORUS
 
     def wrap(self, positions):
-        """Canonical representative: componentwise in [0,1) on the torus."""
+        """Canonical representative: componentwise in [0,1) on the torus.
+
+        ``x - floor(x)`` rounds up to exactly 1.0 for x in (-2^-54, 0); that
+        point is the same as 0.0 on the circle and is mapped there.
+        """
         if not self.is_torus:
             return positions
-        return positions - np.floor(positions)
+        wrapped = positions - np.floor(positions)
+        return np.where(wrapped == 1.0, 0.0, wrapped)
 
     def min_image(self, delta):
         """Minimal-image displacement in (-1/2, 1/2]^d (identity on R^d)."""
@@ -239,7 +244,8 @@ def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pai
     broadcast over leading axes.  The self-interaction term j = i is kept in
     the pair sum, matching the empirical-measure definition of the force.
     ``v``/``w`` enable the energy; on the torus the callables themselves are
-    responsible for periodicity.
+    responsible for periodicity.  :func:`gauss_attract_repel_model` and
+    :func:`torus_trig_model` are built on this function.
     """
 
     def force(positions, x):
@@ -362,26 +368,8 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
         sq = np.sum(delta * delta, axis=-1)
         return big_l * np.exp(-sq) + s * sq
 
-    def force(positions, x):
-        positions = np.asarray(positions, dtype=float)
-        x = np.asarray(x, dtype=float)
-        pair = pair_grad(np.broadcast_to(x, positions.shape), positions)
-        return r * x + ordered_sum(pair, axis=-2) / positions.shape[-2]
-
-    def force_all(positions):
-        positions = np.asarray(positions, dtype=float)
-        n = positions.shape[-2]
-        pair = pair_grad(positions[..., :, None, :], positions[..., None, :, :])
-        return r * positions + ordered_sum(pair, axis=-2) / n
-
-    def energy(positions):
-        positions = np.asarray(positions, dtype=float)
-        n = positions.shape[-2]
-        sq = np.sum(positions * positions, axis=-1)
-        ext = 0.5 * r * ordered_mean(sq, axis=-1)
-        pair = pair_w(positions[..., :, None, :], positions[..., None, :, :])
-        inter = ordered_sum(pair.reshape(pair.shape[:-2] + (n * n,)), axis=-1)
-        return ext + inter / (2.0 * n * n)
+    def external(x):
+        return 0.5 * r * np.sum(np.atleast_1d(x) ** 2, axis=-1)
 
     def linear_derivative(density, x):
         x = np.asarray(x, dtype=float)
@@ -406,15 +394,14 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
         r0_low=0.0,
         r1_up=0.0,
     )
-    return MeanFieldModel(
-        space=space,
-        force=force,
-        force_all=force_all,
-        energy=energy,
-        linear_derivative=linear_derivative if d == 1 else None,
-        external_potential=lambda x: 0.5 * r * np.sum(np.atleast_1d(x) ** 2, axis=-1),
-        coeffs=coeffs,
+    model = pairwise_model(
+        space, lambda x: r * x, pair_grad, v=external, w=pair_w, coeffs=coeffs,
         name=f"gauss_attract_repel(L={big_l}, s={s}, r={r})",
+    )
+    return replace(
+        model,
+        linear_derivative=linear_derivative if d == 1 else None,
+        external_potential=external,
     )
 
 
@@ -435,26 +422,11 @@ def torus_trig_model(a, b, d=1):
         delta = space.min_image(x - y)
         return -two_pi * b * np.sin(two_pi * delta)
 
-    def force(positions, x):
-        positions = np.asarray(positions, dtype=float)
-        x = np.asarray(x, dtype=float)
-        pair = pair_grad(np.broadcast_to(x, positions.shape), positions)
-        return grad_v(x) + ordered_sum(pair, axis=-2) / positions.shape[-2]
+    def pair_w(x, y):
+        return np.sum(b * np.cos(two_pi * space.min_image(x - y)), axis=-1)
 
-    def force_all(positions):
-        positions = np.asarray(positions, dtype=float)
-        n = positions.shape[-2]
-        pair = pair_grad(positions[..., :, None, :], positions[..., None, :, :])
-        return grad_v(positions) + ordered_sum(pair, axis=-2) / n
-
-    def energy(positions):
-        positions = np.asarray(positions, dtype=float)
-        n = positions.shape[-2]
-        ext = ordered_mean(np.sum(a * np.cos(two_pi * positions), axis=-1), axis=-1)
-        delta = space.min_image(positions[..., :, None, :] - positions[..., None, :, :])
-        pair = np.sum(b * np.cos(two_pi * delta), axis=-1)
-        inter = ordered_sum(pair.reshape(pair.shape[:-2] + (n * n,)), axis=-1)
-        return ext + inter / (2.0 * n * n)
+    def external(x):
+        return np.sum(a * np.cos(two_pi * np.atleast_1d(x)), axis=-1)
 
     def linear_derivative(density, x):
         x = np.asarray(x, dtype=float)
@@ -471,15 +443,14 @@ def torus_trig_model(a, b, d=1):
         l1=4.0 * np.pi ** 2 * (abs(a) + 2.0 * abs(b)),
         df_sup=two_pi * (abs(a) + abs(b)) * math.sqrt(d),
     )
-    return MeanFieldModel(
-        space=space,
-        force=force,
-        force_all=force_all,
-        energy=energy,
-        linear_derivative=linear_derivative if d == 1 else None,
-        external_potential=lambda x: np.sum(a * np.cos(two_pi * np.atleast_1d(x)), axis=-1),
-        coeffs=coeffs,
+    model = pairwise_model(
+        space, grad_v, pair_grad, v=external, w=pair_w, coeffs=coeffs,
         name=f"torus_trig(a={a}, b={b})",
+    )
+    return replace(
+        model,
+        linear_derivative=linear_derivative if d == 1 else None,
+        external_potential=external,
     )
 
 

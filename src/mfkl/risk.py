@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import run_chain, sample_initial
+from .chain import run_replica
 from .errors import ConfigurationError, NumericalDomainError
-from .rng import RngStream, derive_seed
 
 
 @dataclass
@@ -54,9 +53,7 @@ def quadratic_risk(
         raise ConfigurationError("quadratic risk needs at least 8 replicas")
 
     def one_replica(k):
-        rng = RngStream(derive_seed(params.master_seed, k))
-        init = sample_initial(init_law, n_particles, model.space, rng)
-        final, _ = run_chain(model, init, params, observers=(), rng=rng)
+        final, _ = run_replica(model, init_law, n_particles, params, k)
         return float(np.mean(np.asarray(f(final.positions), dtype=float)))
 
     if threads > 1:

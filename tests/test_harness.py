@@ -252,6 +252,23 @@ class TestSweepKinds:
         assert np.isfinite(summary["slope"])
         assert summary["gate"] == [1.5, 2.5]
 
+    def test_sweep_h_without_post_burn_in_record_is_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        config = {
+            "kind": "sweep_h",
+            "model": {"variant": "quadratic", "r": 1.0, "s": 0.0},
+            "n_particles": 1,
+            "chain": {"gamma": 1.0, "n_steps": 10, "seed": 9},
+            "init": {"kind": "point", "at": 0.0},
+            "h_grid": [0.1, 0.2],
+            "observable": "x2",
+            "oracle_mean": 1.0,
+            "stride": 50,
+        }
+        with pytest.raises(ConfigurationError, match="burn-in"):
+            run_experiment(config, out_dir=str(out))
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_n_risk_table(self, tmp_path):
         out = tmp_path / "out"
         summary = run_experiment(
@@ -369,6 +386,28 @@ class TestCli:
                          str(tmp_path / "out"))
         assert result.returncode == 2
         assert "junk" in result.stderr
+
+    def test_report_without_out_exit_2(self):
+        result = run_cli("report")
+        assert result.returncode == 2
+        assert "--out" in result.stderr
+
+    def test_kind_without_config_exit_2(self, tmp_path):
+        result = run_cli("constants", "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "--config" in result.stderr
+
+    def test_malformed_threads_env_exit_2(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"kind": "constants", "gamma": 1.0, "rho": 1.0}))
+        env = {**os.environ, "MFKL_THREADS": "two"}
+        result = subprocess.run(
+            [sys.executable, "-m", "mfkl.cli", "constants", "--config", str(config_path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        assert "MFKL_THREADS" in result.stderr
 
     def test_kind_mismatch_exit_2(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import mfkl as m
 from mfkl import (
@@ -36,6 +38,23 @@ class TestSpace:
         flat = euclid(2)
         same = np.array([[1.25, -0.25]])
         assert np.array_equal(flat.wrap(same), same)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-17)
+@example(-(2.0 ** -54))
+@example(-(2.0 ** -53))
+def test_torus_wrap_lands_in_unit_interval(x):
+    wrapped = Space("torus", 1).wrap(np.array([[x]]))
+    assert 0.0 <= wrapped[0, 0] < 1.0
+
+
+def test_verlet_step_just_below_zero_wraps_to_zero():
+    # x - floor(x) rounds up to 1.0 here; the step must still land in [0, 1)
+    model = m.torus_trig_model(0.0, 0.0)
+    state = ParticleState([[0.0]], [[-1e-17]], model.space)
+    new = m.verlet_step(model, state, 0.5)
+    assert new.positions[0, 0] == 0.0
 
 
 class TestParticleState:

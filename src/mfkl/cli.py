@@ -8,7 +8,9 @@ Usage::
 Kinds are the experiment kinds of :mod:`mfkl.harness`; ``report``
 summarizes a finished experiment directory.  ``--seed`` overrides the
 config seed and ``MFKL_THREADS`` is the fallback for ``--threads``.
-Exit codes: 2 bad config, 3 numerical domain error, 4 non-convergence,
+Exit codes: 1 the diagnostic is unavailable for this model, or an internal
+invariant or observer failed; 2 bad config (including an unreadable or
+non-JSON config file); 3 numerical domain error; 4 non-convergence;
 5 missing result files.
 """
 

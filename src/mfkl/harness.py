@@ -152,8 +152,14 @@ def validate_config(config):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as err:
+        raise ConfigurationError(f"cannot read config {path}: {err.strerror or err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"config {path} is not UTF-8 JSON: {err}") from err
+    return validate_config(config)
 
 
 def _require(config, *names):

@@ -387,6 +387,43 @@ class TestCli:
         assert result.returncode == 2
         assert "junk" in result.stderr
 
+    def test_missing_config_file_exit_2(self, tmp_path):
+        config_path = tmp_path / "nope.json"
+        result = run_cli("constants", "--config", str(config_path), "--out",
+                         str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert str(config_path) in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_truncated_config_file_exit_2(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text('{"kind": "const')
+        result = run_cli("constants", "--config", str(config_path), "--out",
+                         str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert str(config_path) in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_non_utf8_config_file_exit_2(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_bytes(b'{"kind": "\xff"}')
+        result = run_cli("constants", "--config", str(config_path), "--out",
+                         str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert str(config_path) in result.stderr
+
+    def test_unavailable_diagnostic_exit_1(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            "kind": "oracle",
+            "model": {"variant": "quadratic", "r": 1, "s": 0.25, "d": 2},
+        }))
+        result = run_cli("oracle", "--config", str(config_path), "--out",
+                         str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert "linear derivative" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_report_without_out_exit_2(self):
         result = run_cli("report")
         assert result.returncode == 2

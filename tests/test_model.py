@@ -388,3 +388,93 @@ def test_pair_models_match_reference_sums(variant, d):
             assert np.array_equal(model.force(system, row), force(system, row))
     expected = energy(x)
     assert np.all(np.abs(model.energy(x) - expected) <= 1e-15 * np.abs(expected))
+
+
+# Blocked pair kernel: forces are evaluated a block of query rows at a time.
+# These cases cross block boundaries, with a ragged last block, and must
+# reproduce the one-shot reference sums byte for byte (signs of zero too).
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_BLOCK_CASES = [("gauss", (n, d)) for d in (1, 2, 3) for n in (300, 1024)] + [
+    ("gauss", (5, 64, 2)),
+    ("torus", (64, 33, 2)),
+    ("torus", (10_000, 8, 2)),
+]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7])
+@pytest.mark.parametrize("variant, shape", _BLOCK_CASES)
+def test_blocked_pair_forces_match_reference_bitwise(variant, shape, rows_per_block, monkeypatch):
+    import mfkl.model
+
+    if rows_per_block is not None:
+        # a budget that admits 7 query rows per block for this shape
+        monkeypatch.setattr(
+            mfkl.model, "_PAIR_BLOCK", rows_per_block * math.prod(shape), raising=False
+        )
+    rng = m.RngStream(shape[-2] * 10 + shape[-1])
+    d = shape[-1]
+    if variant == "gauss":
+        model = m.gauss_attract_repel_model(0.9, 0.15, 1.3, d=d)
+        force, force_all, _ = _reference_gauss(0.9, 0.15, 1.3)
+        x = rng.normal_matrix(shape)
+    else:
+        model = m.torus_trig_model(0.3, 0.2, d=d)
+        force, force_all, _ = _reference_torus(0.3, 0.2, model.space)
+        x = rng.uniforms(math.prod(shape)).reshape(shape)
+    assert _same_bytes(model.force_all(x), force_all(x))
+    system = x.reshape((-1,) + shape[-2:])[0]
+    for row in system[:3]:
+        assert _same_bytes(model.force(system, row), force(system, row))
+
+
+def test_blocked_torus_force_keeps_signed_zeros():
+    # all particles at 0: every pair term and the confinement are -0.0
+    model = m.torus_trig_model(0.3, 0.2, d=2)
+    _, force_all, _ = _reference_torus(0.3, 0.2, model.space)
+    x = np.zeros((3, 5, 2))
+    assert _same_bytes(model.force_all(x), force_all(x))
+
+
+def _mod_min_image(delta):
+    return 0.5 - np.mod(0.5 - delta, 1.0)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(0.5)
+@example(-0.5)
+@example(1.5)
+@example(2.0 ** -54)
+@example(-(2.0 ** -54))
+@example(1e300)
+@example(-1e300)
+@example(5e-324)
+@example(-5e-324)
+@example(1e-310)
+@example(-1e-310)
+def test_min_image_matches_mod_formula_bitwise(delta):
+    torus = Space("torus", 1)
+    values = np.array([delta, -delta])
+    assert _same_bytes(torus.min_image(values), _mod_min_image(values))
+
+
+def test_pair_force_memory_is_blocked():
+    import tracemalloc
+
+    model = m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=2)
+    x = m.RngStream(9).normal_matrix((2048, 2))
+    tracemalloc.start()
+    try:
+        model.force_all(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one-shot (N, N, d) pair arrays peak at about 224 MB here
+    assert peak < 32 * 2 ** 20

@@ -9,6 +9,7 @@ fixes the meaning of "same seed" exactly.
 """
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,13 +242,25 @@ def sample_initial(law, n_particles, space, rng):
     return ParticleState(positions, velocities, space)
 
 
-def run_replica(model, init_law, n_particles, params, k, observers=()):
-    """Chain replica ``k``: the one place replica seeds are derived.
+def run_replicas(model, init_law, n_particles, params, reps, observe=None, stride=1,
+                 threads=1):
+    """Chain replicas ``0 .. reps-1``: the one place replica seeds are derived.
 
-    Replica ``k`` runs on its own stream seeded ``derive_seed(master_seed,
-    k)``, draws its initial state from ``init_law`` on that stream, then
-    continues the same stream in :func:`run_chain`.
+    Replica ``k`` draws its initial state from ``init_law`` on the stream
+    seeded ``derive_seed(master_seed, k)``, then continues that stream in
+    :func:`run_chain`, observed by ``Observer(observe, stride)`` if given.
+    Returns ``(final_state, records)`` per replica in replica order, so
+    results do not depend on ``threads``, the size of the worker pool.
     """
-    rng = RngStream(derive_seed(params.master_seed, k))
-    init = sample_initial(init_law, n_particles, model.space, rng)
-    return run_chain(model, init, params, observers, rng)
+
+    def replica(k):
+        rng = RngStream(derive_seed(params.master_seed, k))
+        init = sample_initial(init_law, n_particles, model.space, rng)
+        observers = [Observer(observe, stride)] if observe is not None else []
+        final, records = run_chain(model, init, params, observers, rng)
+        return final, records[0] if records else []
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(replica, range(reps)))
+    return [replica(k) for k in range(reps)]

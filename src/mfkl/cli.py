@@ -11,7 +11,7 @@ config seed and ``MFKL_THREADS`` is the fallback for ``--threads``.
 Exit codes: 1 the diagnostic is unavailable for this model, or an internal
 invariant or observer failed; 2 bad config (including an unreadable or
 non-JSON config file); 3 numerical domain error; 4 non-convergence;
-5 missing result files.
+5 missing or corrupt result files.
 """
 
 import argparse

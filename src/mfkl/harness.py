@@ -9,26 +9,22 @@ every output byte for byte.  Timestamps appear only in the report index.
 import json
 import math
 import os
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .chain import ChainParams, Observer, run_chain, run_replica, sample_initial
-from .errors import (
-    CapabilityError,
-    ConfigurationError,
-    MissingArtifactError,
-)
-from .lyapunov import (
-    ENERGY_CUBED,
-    VELOCITY_SIXTH,
-    LyapunovSpec,
-    drift_slope_regression,
-    estimate_kernel_drift,
-)
+from .chain import ChainParams, Observer, run_chain, run_replicas, sample_initial
+from .errors import ConfigurationError, MissingArtifactError
+from .lyapunov import LyapunovSpec, drift_slope_regression, estimate_kernel_drift
 from .model import ParticleState, make_builtin_model
-from .oracle import GridSpec, reference_expectation, self_consistent_fixed_point
+from .oracle import (
+    TORUS_GRID,
+    GridSpec,
+    reference_expectation,
+    self_consistent_fixed_point,
+)
 from .rng import RngStream, derive_seed
 from .risk import fit_geometric_rate, histogram_divergence, quadratic_risk
 from .theory import (
@@ -55,6 +51,9 @@ OBSERVABLES = {
     "cos_x1": (lambda x: np.cos(x[..., 0]), 1.0),
     "x2": (lambda x: np.sum(x * x, axis=-1), math.inf),
 }
+
+# header of the one-row-per-parameter tables (sweeps, Euclidean drift slopes)
+_TABLE_HEADER = ("parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass")
 
 _NUM = {"type": "number"}
 _POS_INT = {"type": "integer", "minimum": 1}
@@ -151,15 +150,20 @@ def validate_config(config):
     return config
 
 
-def load_config(path):
+def _read_json(path, error, what):
+    """JSON document at ``path``; raises ``error`` naming the file when it
+    cannot be read or is not UTF-8 JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except OSError as err:
-        raise ConfigurationError(f"cannot read config {path}: {err.strerror or err}") from err
+        raise error(f"cannot read {what} {path}: {err.strerror or err}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ConfigurationError(f"config {path} is not UTF-8 JSON: {err}") from err
-    return validate_config(config)
+        raise error(f"{what} {path} is not UTF-8 JSON: {err}") from err
+
+
+def load_config(path):
+    return validate_config(_read_json(path, ConfigurationError, "config"))
 
 
 def _require(config, *names):
@@ -209,12 +213,19 @@ def _chain_params(config, n_steps_override=None, h_override=None):
     )
 
 
-def _grid(config, model=None):
+def _sweep_grid(config, name):
+    """The swept values of ``config[name]``; a sweep needs two distinct ones."""
+    grid = config[name]
+    if len(set(grid)) < 2:
+        raise ConfigurationError(f"{name} needs at least two distinct values, got {grid}")
+    return grid
+
+
+def _grid(config, model):
     if "grid" in config:
-        g = config["grid"]
-        return GridSpec(g["lo"], g["hi"], g["n_cells"])
-    if model is not None and model.space.is_torus:
-        return GridSpec(0.0, 1.0, 1024)
+        return GridSpec(**config["grid"])
+    if model.space.is_torus:
+        return TORUS_GRID
     return GridSpec(-8.0, 8.0, 2001)
 
 
@@ -229,9 +240,22 @@ def _oracle_density(config, model):
     return result.density
 
 
+def _oracle_value(config, model, f):
+    """The config's ``oracle_mean``, else the mean of ``f`` under the oracle density."""
+    if "oracle_mean" in config:
+        return config["oracle_mean"]
+    return reference_expectation(_oracle_density(config, model), lambda x: f(x[:, None]))
+
+
 def _observable(config):
-    _require(config, "observable")
     return config["observable"], *OBSERVABLES[config["observable"]]
+
+
+def _bounded_observable(config):
+    obs_id, f, f_sup = _observable(config)
+    if not math.isfinite(f_sup):
+        raise ConfigurationError(f"observable {obs_id!r} is unbounded; risk needs bounded f")
+    return obs_id, f
 
 
 def resolve_threads(explicit=None):
@@ -260,11 +284,17 @@ def decaying_segment(tv_series, floor, head=0.85, tail_factor=2.5):
     return start, end
 
 
+def _write_summary(out_dir, summary, config):
+    write_json(os.path.join(out_dir, "summary.json"), {**summary, "config": config})
+    return summary
+
+
 # ---------------------------------------------------------------------------
-# experiment drivers (one per kind)
+# experiment drivers (one per kind); each takes (config, out_dir, threads),
+# where threads sizes the worker pool of the replica kinds
 
 
-def _run_sample(config, out_dir):
+def _run_sample(config, out_dir, threads):
     _require(config, "model", "n_particles", "chain", "init")
     model = make_builtin_model(config["model"])
     params = _chain_params(config)
@@ -295,8 +325,9 @@ def _run_sample(config, out_dir):
     return {}
 
 
-def _run_sweep_h(config, out_dir):
+def _run_sweep_h(config, out_dir, threads):
     _require(config, "model", "n_particles", "chain", "init", "h_grid", "observable")
+    h_grid = _sweep_grid(config, "h_grid")
     stride = config.get("stride", 10)
     n_steps = config["chain"].get("n_steps", 0)
     first_kept = int(config.get("burn_in", 0.2) * n_steps)
@@ -307,104 +338,86 @@ def _run_sweep_h(config, out_dir):
         )
     model = make_builtin_model(config["model"])
     obs_id, f, _ = _observable(config)
-    oracle_value = (
-        config["oracle_mean"]
-        if "oracle_mean" in config
-        else reference_expectation(_oracle_density(config, model), lambda x: f(x[:, None]))
-    )
+    oracle_value = _oracle_value(config, model, f)
 
-    def stationary_estimate(params, k):
-        """Time-averaged observable over the post-burn-in trajectory of replica k."""
-        values = []
-
-        def visit(step, state):
-            if step >= first_kept:
-                values.append(float(np.mean(f(state.positions))))
-
-        obs = Observer(visit, stride=stride)
-        run_replica(model, config["init"], config["n_particles"], params, k, [obs])
-        return float(np.mean(values))
+    def visit(step, state):
+        """Particle-average observable after burn-in, None before it."""
+        return float(np.mean(f(state.positions))) if step >= first_kept else None
 
     reps = config.get("reps", 4)
     gate_lo, gate_hi = config.get("slope_gate", [1.5, 2.5])
     rows = []
     biases = []
-    for h in config["h_grid"]:
+    for h in h_grid:
         params = _chain_params(config, h_override=h)
-        estimates = np.asarray([stationary_estimate(params, k) for k in range(reps)])
+        runs = run_replicas(
+            model, config["init"], config["n_particles"], params, reps, visit, stride, threads
+        )
+        # each replica's time average over its post-burn-in records
+        estimates = np.asarray(
+            [float(np.mean([v for v in records if v is not None])) for _, records in runs]
+        )
         bias = float(estimates.mean() - oracle_value)
         std_err = float(estimates.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         biases.append(abs(bias))
         rows.append((h, bias, std_err, None, None, None))
-    write_csv(os.path.join(out_dir, "sweep.csv"),
-              ["parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass"], rows)
-    hs = np.asarray(config["h_grid"], dtype=float)
+    write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
+    hs = np.asarray(h_grid, dtype=float)
     slope = float(np.polyfit(np.log(hs), np.log(np.maximum(biases, 1e-300)), 1)[0])
-    summary = {
+    return _write_summary(out_dir, {
         "experiment": "sweep_h",
         "observable": obs_id,
         "oracle_value": oracle_value,
         "slope": slope,
         "gate": [gate_lo, gate_hi],
         "pass": bool(gate_lo <= slope <= gate_hi),
-    }
-    write_json(os.path.join(out_dir, "summary.json"), {**summary, "config": config})
-    return summary
+    }, config)
 
 
-def _run_sweep_n(config, out_dir, threads=1):
+def _run_sweep_n(config, out_dir, threads):
     _require(config, "model", "chain", "init", "n_grid", "reps", "observable", "oracle_mean")
+    n_grid = _sweep_grid(config, "n_grid")
     model = make_builtin_model(config["model"])
-    obs_id, f, f_sup = _observable(config)
-    if not math.isfinite(f_sup):
-        raise ConfigurationError(f"observable {obs_id!r} is unbounded; risk needs bounded f")
+    obs_id, f = _bounded_observable(config)
     params = _chain_params(config)
     rows = []
     estimates = []
-    for n_particles in config["n_grid"]:
+    for n_particles in n_grid:
         est = quadratic_risk(
             model, f, params, n_particles, config["reps"],
             config["oracle_mean"], config["init"], f_id=obs_id, threads=threads,
         )
         estimates.append(est)
         rows.append((n_particles, est.value, est.std_err, None, None, None))
-    write_csv(os.path.join(out_dir, "sweep.csv"),
-              ["parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass"], rows)
+    write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
     decreasing = all(
         estimates[i].value > estimates[i + 1].value for i in range(len(estimates) - 1)
     )
-    summary = {
+    return _write_summary(out_dir, {
         "experiment": "sweep_N",
         "observable": obs_id,
         "risk_decreasing_in_N": decreasing,
         "pass": decreasing,
-    }
-    write_json(os.path.join(out_dir, "summary.json"), {**summary, "config": config})
-    return summary
+    }, config)
 
 
-def _run_converge(config, out_dir):
+def _run_converge(config, out_dir, threads):
     _require(config, "model", "n_particles", "chain", "init")
     model = make_builtin_model(config["model"])
     density = _oracle_density(config, model)
     params = _chain_params(config)
-    reps = config.get("reps", 64)
     stride = config.get("stride", 1)
     n_bins = config.get("n_bins", 50)
-    n_particles = config["n_particles"]
+    runs = run_replicas(
+        model, config["init"], config["n_particles"], params, config.get("reps", 64),
+        lambda step, state: state.positions[:, 0].copy(), stride, threads,
+    )
 
-    pooled = {}
-    for k in range(reps):
-        obs = Observer(lambda step, state: (step, state.positions[:, 0].copy()), stride=stride)
-        run_replica(model, config["init"], n_particles, params, k, [obs])
-        for step, xs in obs.records:
-            pooled.setdefault(step, []).append(xs)
-
-    steps = sorted(pooled)
     rows = []
     tv_series = []
-    for step in steps:
-        samples = np.concatenate(pooled[step])
+    # every replica records the first coordinates at steps 0, stride, 2 stride, ...
+    for i, step in enumerate(range(0, params.n_steps + 1, stride)):
+        samples = np.concatenate([records[i] for _, records in runs])
         tv = histogram_divergence(samples, density, n_bins=n_bins, kind="tv")
         kl = histogram_divergence(samples, density, n_bins=n_bins, kind="kl")
         tv_series.append(tv)
@@ -418,7 +431,7 @@ def _run_converge(config, out_dir):
     rate_per_step = fit.rate ** (1.0 / stride)  # records are stride steps apart
     kappa = contraction_constants(params.gamma, config.get("rho", 1.0)).kappa
     gate = 1.0 / (1.0 + kappa * params.h) + 0.02
-    summary = {
+    return _write_summary(out_dir, {
         "experiment": "converge",
         "rate": rate_per_step,
         "r_squared": fit.r_squared,
@@ -426,9 +439,7 @@ def _run_converge(config, out_dir):
         "tv_floor": floor,
         "rate_gate": gate,
         "pass": bool(rate_per_step <= gate and fit.r_squared > 0.9),
-    }
-    write_json(os.path.join(out_dir, "summary.json"), {**summary, "config": config})
-    return summary
+    }, config)
 
 
 def _random_states(model, n_particles, scales, n_states, rng):
@@ -446,66 +457,57 @@ def _random_states(model, n_particles, scales, n_states, rng):
     return states
 
 
-def _run_lyapunov_check(config, out_dir):
+def _run_lyapunov_check(config, out_dir, threads):
     _require(config, "model", "n_particles", "chain", "h_grid")
     model = make_builtin_model(config["model"])
-    gamma = config["chain"]["gamma"]
-    seed = config["chain"].get("seed", 0)
+    per_h = [_chain_params(config, n_steps_override=1, h_override=h) for h in config["h_grid"]]
+    gamma, seed = per_h[0].gamma, per_h[0].master_seed
     n_states = config.get("n_states", 100)
     m_draws = config.get("m_draws", 10_000)
     scales = config.get("state_scales", [0.5, 1.0, 3.0])
     n_particles = config["n_particles"]
     states = _random_states(model, n_particles, scales, n_states, RngStream(seed))
+    spec = LyapunovSpec.for_model(model, gamma, n_particles)
 
     rows = []
     failures = []
-    summary = {"experiment": "lyapunov_check"}
     if model.space.is_torus:
-        spec = LyapunovSpec(kind=VELOCITY_SIXTH)
-        for h in config["h_grid"]:
-            params = ChainParams(h=h, gamma=gamma, n_steps=1, master_seed=seed)
+        for params in per_h:
             for idx, state in enumerate(states):
                 report = estimate_kernel_drift(
                     model, state, params, spec, m_draws=m_draws,
                     rng=RngStream(derive_seed(seed, 1)),
                 )
                 rows.append((
-                    idx, h, report.pv_estimate, report.pv_std_err,
+                    idx, params.h, report.pv_estimate, report.pv_std_err,
                     report.rhs_bound, report.margin_sigmas, report.holds,
                 ))
                 if not report.holds:
-                    failures.append({"state": idx, "h": h})
-        write_csv(
-            os.path.join(out_dir, "drift.csv"),
-            ["state", "h", "pv_estimate", "pv_std_err", "rhs_bound", "margin_sigmas", "holds"],
-            rows,
-        )
-        summary.update({"mode": "torus_bound", "failures": failures, "pass": not failures})
+                    failures.append({"state": idx, "h": params.h})
+        header = ["state", "h", "pv_estimate", "pv_std_err", "rhs_bound", "margin_sigmas",
+                  "holds"]
+        mode = "torus_bound"
     else:
-        spec = LyapunovSpec.for_model(model, gamma, n_particles)
-        slope_rows = []
-        for h in config["h_grid"]:
-            params = ChainParams(h=h, gamma=gamma, n_steps=1, master_seed=seed)
-            consts = lyapunov_constants(model.space, gamma, model.coeffs, n_particles)
+        theta = lyapunov_constants(model.space, gamma, model.coeffs, n_particles).theta
+        for params in per_h:
             fit = drift_slope_regression(
                 model, states, params, spec, m_draws=m_draws, seed=derive_seed(seed, 1)
             )
-            gate = 1.0 - consts.theta * h + 2.0 * fit.slope_std_err
+            gate = 1.0 - theta * params.h + 2.0 * fit.slope_std_err
             ok = fit.slope <= gate
-            slope_rows.append((h, fit.slope, fit.slope_std_err, None, gate, ok))
+            rows.append((params.h, fit.slope, fit.slope_std_err, None, gate, ok))
             if not ok:
-                failures.append({"h": h, "slope": fit.slope, "gate": gate})
-        write_csv(
-            os.path.join(out_dir, "drift.csv"),
-            ["parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass"],
-            slope_rows,
-        )
-        summary.update({"mode": "euclidean_slope", "failures": failures, "pass": not failures})
-    write_json(os.path.join(out_dir, "summary.json"), {**summary, "config": config})
-    return summary
+                failures.append({"h": params.h, "slope": fit.slope, "gate": gate})
+        header = _TABLE_HEADER
+        mode = "euclidean_slope"
+    write_csv(os.path.join(out_dir, "drift.csv"), header, rows)
+    return _write_summary(out_dir, {
+        "experiment": "lyapunov_check", "mode": mode, "failures": failures,
+        "pass": not failures,
+    }, config)
 
 
-def _run_oracle(config, out_dir):
+def _run_oracle(config, out_dir, threads):
     _require(config, "model")
     model = make_builtin_model(config["model"])
     density = _oracle_density(config, model)
@@ -514,63 +516,32 @@ def _run_oracle(config, out_dir):
     return {}
 
 
-def _run_constants(config, out_dir):
+def _run_constants(config, out_dir, threads):
     _require(config, "gamma", "rho")
-    constants = contraction_constants(
+    payload = asdict(contraction_constants(
         config["gamma"], config["rho"],
         c1_hat=config.get("c1_hat", 0.0), delta_n=config.get("delta_n", 0.0),
-    )
-    payload = {
-        "a": constants.a,
-        "kappa": constants.kappa,
-        "c2": constants.c2,
-        "rho": constants.rho,
-        "delta_n": constants.delta_n,
-        "c1_hat": constants.c1_hat,
-        "gamma": constants.gamma,
-    }
+    ))
     if "lsi" in config:
-        report = lsi_constants(
+        payload["lsi"] = asdict(lsi_constants(
             LsiConstants(**config["lsi"]),
             config.get("n_particles", 1),
             config.get("d", 1),
-        )
-        payload["lsi"] = {
-            "lambda_tilde": report.lambda_tilde,
-            "delta_n": report.delta_n,
-            "r_entropy": report.r_entropy,
-            "eta_n": report.eta_n,
-            "rho_prime_star": report.rho_prime_star,
-            "rho_prime_reason": report.rho_prime_reason,
-            "rho_star": report.rho_star,
-            "rho_star_reason": report.rho_star_reason,
-        }
+        ))
     if "model" in config:
         model = make_builtin_model(config["model"])
-        consts = lyapunov_constants(
+        payload["lyapunov"] = asdict(lyapunov_constants(
             model.space, config["gamma"], model.coeffs, config.get("n_particles", 1)
-        )
-        if model.space.is_torus:
-            payload["lyapunov"] = {"torus_additive": consts.torus_additive}
-        else:
-            payload["lyapunov"] = {
-                "alpha": consts.alpha, "theta": consts.theta, "lambda0": consts.lambda0,
-            }
+        ))
     write_json(os.path.join(out_dir, "constants.json"), {**payload, "config": config})
     return payload
 
 
-def _run_risk(config, out_dir, threads=1):
+def _run_risk(config, out_dir, threads):
     _require(config, "model", "n_particles", "chain", "init", "reps", "observable")
     model = make_builtin_model(config["model"])
-    obs_id, f, f_sup = _observable(config)
-    if not math.isfinite(f_sup):
-        raise ConfigurationError(f"observable {obs_id!r} is unbounded; risk needs bounded f")
-    oracle_value = (
-        config["oracle_mean"]
-        if "oracle_mean" in config
-        else reference_expectation(_oracle_density(config, model), lambda x: f(x[:, None]))
-    )
+    obs_id, f = _bounded_observable(config)
+    oracle_value = _oracle_value(config, model, f)
     params = _chain_params(config)
     estimate = quadratic_risk(
         model, f, params, config["n_particles"], config["reps"],
@@ -587,6 +558,18 @@ def _run_risk(config, out_dir, threads=1):
     return payload
 
 
+_DRIVERS = {
+    "sample": _run_sample,
+    "sweep_h": _run_sweep_h,
+    "sweep_N": _run_sweep_n,
+    "converge": _run_converge,
+    "lyapunov_check": _run_lyapunov_check,
+    "oracle": _run_oracle,
+    "constants": _run_constants,
+    "risk": _run_risk,
+}
+
+
 def run_experiment(config, out_dir=None, seed=None, threads=None):
     """Run one experiment described by a validated config mapping.
 
@@ -595,33 +578,14 @@ def run_experiment(config, out_dir=None, seed=None, threads=None):
     """
     config = validate_config(dict(config))
     if seed is not None:
-        config.setdefault("chain", {})
-        config["chain"] = {**config["chain"], "seed": int(seed)}
+        config["chain"] = {**config.get("chain", {}), "seed": int(seed)}
     out_dir = out_dir or config.get("out_dir")
     if not out_dir:
         raise ConfigurationError("no output directory given (config out_dir or --out)")
     os.makedirs(out_dir, exist_ok=True)
     threads = resolve_threads(threads)
-
-    kind = config["kind"]
     write_json(os.path.join(out_dir, "config.json"), config)
-    if kind == "sample":
-        return _run_sample(config, out_dir)
-    if kind == "sweep_h":
-        return _run_sweep_h(config, out_dir)
-    if kind == "sweep_N":
-        return _run_sweep_n(config, out_dir, threads=threads)
-    if kind == "converge":
-        return _run_converge(config, out_dir)
-    if kind == "lyapunov_check":
-        return _run_lyapunov_check(config, out_dir)
-    if kind == "oracle":
-        return _run_oracle(config, out_dir)
-    if kind == "constants":
-        return _run_constants(config, out_dir)
-    if kind == "risk":
-        return _run_risk(config, out_dir, threads=threads)
-    raise ConfigurationError(f"unknown experiment kind {kind!r}")
+    return _DRIVERS[config["kind"]](config, out_dir, threads)
 
 
 def emit_report(results_dir):
@@ -639,14 +603,14 @@ def emit_report(results_dir):
         raise MissingArtifactError(
             f"{results_dir!r} has no config.json; not an experiment directory"
         )
-    with open(os.path.join(results_dir, "config.json"), encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _read_json(
+        os.path.join(results_dir, "config.json"), MissingArtifactError, "result file"
+    )
     kind = config.get("kind", "?")
     lines = [f"experiment: {kind}"]
     summary_path = os.path.join(results_dir, "summary.json")
     if os.path.exists(summary_path):
-        with open(summary_path, encoding="utf-8") as fh:
-            summary = json.load(fh)
+        summary = _read_json(summary_path, MissingArtifactError, "result file")
         verdict = summary.get("pass")
         if verdict is not None:
             lines.append("PASS" if verdict else "FAIL")

@@ -23,6 +23,7 @@ from .errors import (
     NumericalDomainError,
 )
 from .model import EUCLIDEAN, TORUS, potential_gradient
+from .risk import _fit_line
 from .rng import RngStream
 from .theory import lyapunov_constants
 
@@ -179,17 +180,10 @@ def drift_slope_regression(model, states, params, spec, m_draws=10_000, seed=0):
     n = len(v_vals)
     if n < 3:
         raise ConfigurationError("need at least three states to fit a slope")
-    vc = v_vals - v_vals.mean()
-    ss_v = float(np.sum(vc * vc))
-    if ss_v <= 0.0:
-        raise NumericalDomainError("states have no spread in the Lyapunov value")
-    slope = float(np.sum(vc * pv_vals) / ss_v)
-    intercept = float(pv_vals.mean() - slope * v_vals.mean())
-    resid = pv_vals - intercept - slope * v_vals
-    rss = float(np.sum(resid * resid))
-    tss = float(np.sum((pv_vals - pv_vals.mean()) ** 2))
+    slope, intercept, ss_v, rss, r_squared = _fit_line(
+        v_vals, pv_vals, "the Lyapunov value of the states"
+    )
     stderr = math.sqrt(rss / (n - 2) / ss_v)
-    r_squared = 1.0 - rss / tss if tss > 0.0 else 1.0
     return SlopeFit(slope=slope, slope_std_err=stderr, intercept=intercept, r_squared=r_squared)
 
 

@@ -8,12 +8,11 @@ total-variation and entropy quantities appearing in the theory bounds.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import run_replica
+from .chain import run_replicas
 from .errors import ConfigurationError, NumericalDomainError
 
 
@@ -52,15 +51,8 @@ def quadratic_risk(
     if reps < 8:
         raise ConfigurationError("quadratic risk needs at least 8 replicas")
 
-    def one_replica(k):
-        final, _ = run_replica(model, init_law, n_particles, params, k)
-        return float(np.mean(np.asarray(f(final.positions), dtype=float)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(one_replica, range(reps)))
-    else:
-        estimates = [one_replica(k) for k in range(reps)]
+    runs = run_replicas(model, init_law, n_particles, params, reps, threads=threads)
+    estimates = [float(np.mean(np.asarray(f(final.positions), dtype=float))) for final, _ in runs]
     sq_errors = (np.asarray(estimates) - oracle_mean) ** 2
     value = float(np.mean(sq_errors))
     std_err = float(np.std(sq_errors, ddof=1) / math.sqrt(reps))
@@ -99,19 +91,12 @@ def empirical_moments(states, orders=(2, 4, 6)):
     orders = tuple(orders)
     if not orders or any(p not in (2, 4, 6) for p in orders):
         raise ConfigurationError("orders must be a nonempty subset of {2, 4, 6}")
-    pos_series = {p: [] for p in orders}
-    vel_series = {p: [] for p in orders}
-    for state in states:
-        x_sq = np.sum(state.positions ** 2, axis=-1)
-        v_sq = np.sum(state.velocities ** 2, axis=-1)
-        for p in orders:
-            half = p // 2
-            pos_series[p].append(float(np.mean(x_sq ** half)))
-            vel_series[p].append(float(np.mean(v_sq ** half)))
+    fn = moment_observer_fn(orders)
+    records = [fn(None, state) for state in states]
     return MomentSeries(
         orders=orders,
-        position={p: np.asarray(v) for p, v in pos_series.items()},
-        velocity={p: np.asarray(v) for p, v in vel_series.items()},
+        position={p: np.asarray([r[j][0] for r in records]) for j, p in enumerate(orders)},
+        velocity={p: np.asarray([r[j][1] for r in records]) for j, p in enumerate(orders)},
     )
 
 
@@ -197,11 +182,20 @@ def fit_geometric_rate(series):
     if (series <= 0.0).any() or not np.isfinite(series).all():
         raise NumericalDomainError("rate fitting needs strictly positive finite values")
     y = np.log(series)
-    t = np.arange(series.size, dtype=float)
-    tc = t - t.mean()
-    slope = float(np.sum(tc * y) / np.sum(tc * tc))
-    intercept = float(y.mean() - slope * t.mean())
-    resid = y - intercept - slope * t
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - float(np.sum(resid * resid)) / tss if tss > 0.0 else 1.0
+    slope, _, _, _, r_squared = _fit_line(np.arange(series.size, dtype=float), y, "time")
     return RateFit(rate=math.exp(slope), r_squared=r_squared)
+
+
+def _fit_line(x, y, x_name):
+    """Least-squares line of ``y`` on ``x``: ``(slope, intercept, ss_x, rss, r_squared)``,
+    with ``ss_x`` the centred and ``rss`` the residual sum of squares."""
+    xc = x - x.mean()
+    ss_x = float(np.sum(xc * xc))
+    if ss_x <= 0.0:
+        raise NumericalDomainError(f"no spread in {x_name}")
+    slope = float(np.sum(xc * y) / ss_x)
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - intercept - slope * x
+    rss = float(np.sum(resid * resid))
+    tss = float(np.sum((y - y.mean()) ** 2))
+    return slope, intercept, ss_x, rss, 1.0 - rss / tss if tss > 0.0 else 1.0

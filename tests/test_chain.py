@@ -350,3 +350,36 @@ class TestSampleInitial:
     def test_uniform_is_torus_only(self):
         with pytest.raises(ConfigurationError):
             m.sample_initial({"kind": "uniform"}, 4, Space("euclidean", 1), RngStream(1))
+
+
+class TestRunReplicas:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_matches_hand_loop_bitwise(self, quad_interacting, threads):
+        from mfkl.chain import run_replicas
+
+        params = ChainParams(h=0.05, gamma=1.0, n_steps=30, master_seed=77)
+        law = {"kind": "gaussian", "mean": 0.5, "std": 1.0}
+
+        def observe(step, state):
+            return step, state.positions.copy(), state.velocities.copy()
+
+        runs = run_replicas(quad_interacting, law, 5, params, 4, observe, 7, threads)
+        assert len(runs) == 4
+        for k, (final, records) in enumerate(runs):
+            rng = RngStream(m.derive_seed(77, k))
+            init = m.sample_initial(law, 5, quad_interacting.space, rng)
+            obs = Observer(observe, stride=7)
+            ref, _ = m.run_chain(quad_interacting, init, params, [obs], rng)
+            assert final.positions.tobytes() == ref.positions.tobytes()
+            assert final.velocities.tobytes() == ref.velocities.tobytes()
+            assert [s for s, _, _ in records] == [0, 7, 14, 21, 28]
+            for (s, x, v), (s_ref, x_ref, v_ref) in zip(records, obs.records, strict=True):
+                assert s == s_ref
+                assert x.tobytes() == x_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+    def test_without_observer_records_nothing(self, quad_interacting):
+        from mfkl.chain import run_replicas
+
+        params = ChainParams(h=0.05, gamma=1.0, n_steps=3, master_seed=1)
+        runs = run_replicas(quad_interacting, {"kind": "point", "at": 0.0}, 2, params, 2)
+        assert [records for _, records in runs] == [[], []]

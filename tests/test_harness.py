@@ -497,3 +497,102 @@ class TestCli:
                 del os.environ["MFKL_THREADS"]
             else:
                 os.environ["MFKL_THREADS"] = old
+
+
+_QUAD = {"variant": "quadratic", "r": 1.0, "s": 0.25}
+_GAUSS_INIT = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
+_REPLICA_CONFIGS = {
+    "sweep_h": {
+        "kind": "sweep_h", "model": _QUAD, "n_particles": 2,
+        "chain": {"gamma": 1.0, "n_steps": 60, "seed": 9},
+        "init": {"kind": "point", "at": 0.0}, "h_grid": [0.03, 0.06],
+        "observable": "x2_clip25", "oracle_mean": 0.6666667, "reps": 3, "stride": 3,
+    },
+    "sweep_N": {
+        "kind": "sweep_N", "model": _QUAD,
+        "chain": {"h": 0.05, "gamma": 1.0, "n_steps": 40, "seed": 5},
+        "init": _GAUSS_INIT, "n_grid": [2, 6], "reps": 9,
+        "observable": "x2_clip25", "oracle_mean": 0.6666667,
+    },
+    "converge": {
+        "kind": "converge", "model": _QUAD, "n_particles": 8,
+        "chain": {"h": 0.05, "gamma": 1.0, "n_steps": 40, "seed": 2},
+        "init": {"kind": "point", "at": 2.0}, "reps": 7, "stride": 2,
+        "grid": {"lo": -6.0, "hi": 6.0, "n_cells": 201},
+    },
+    "risk": {
+        "kind": "risk", "model": _QUAD, "n_particles": 4,
+        "chain": {"h": 0.05, "gamma": 1.0, "n_steps": 40, "seed": 12},
+        "init": _GAUSS_INIT, "reps": 9, "observable": "x2_clip25", "oracle_mean": 0.6666667,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPLICA_CONFIGS))
+def test_replica_outputs_do_not_depend_on_threads(tmp_path, kind):
+    outputs = {}
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}"
+        run_experiment(_REPLICA_CONFIGS[kind], out_dir=str(out), threads=threads)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs[1]) >= 2  # config.json and at least one result file
+    assert outputs[1] == outputs[3]
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, field, grid", [
+    ("sweep_h", "h_grid", [0.1]),
+    ("sweep_h", "h_grid", [0.1, 0.1]),
+    ("sweep_N", "n_grid", [4]),
+    ("sweep_N", "n_grid", [4, 4]),
+])
+def test_sweep_needs_two_distinct_grid_values_exit_2(tmp_path, kind, field, grid):
+    config = {**_REPLICA_CONFIGS[kind], field: grid}
+    out = tmp_path / "out"
+    result = run_cli(kind, "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 2
+    assert field in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (out / "sweep.csv").exists()
+
+
+_LYAPUNOV_CONFIG = {
+    "kind": "lyapunov_check",
+    "model": {"variant": "torus_trig", "a": 0.3, "b": 0.2, "d": 1},
+    "n_particles": 4, "chain": {"gamma": 1.0, "seed": 3}, "h_grid": [0.05],
+    "n_states": 2, "m_draws": 1000,
+}
+
+
+@pytest.mark.parametrize("chain, seed_args, message", [
+    ({"seed": 3}, [], "gamma"),
+    ({"gamma": 1.0}, ["--seed", "-1"], "seed"),
+    ({"gamma": 1.0}, ["--seed", str(2 ** 64)], "seed"),
+])
+def test_lyapunov_check_chain_fields_exit_2(tmp_path, chain, seed_args, message):
+    config = {**_LYAPUNOV_CONFIG, "chain": chain}
+    out = tmp_path / "out"
+    result = run_cli("lyapunov_check", "--config", _write_config(tmp_path, config),
+                     "--out", str(out), *seed_args)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (out / "drift.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["config.json", "summary.json"])
+def test_report_on_corrupt_result_file_exit_5(tmp_path, name):
+    write_json(tmp_path / "config.json", {"kind": "sweep_h"})
+    write_json(tmp_path / "summary.json", {"experiment": "sweep_h", "pass": True})
+    (tmp_path / name).write_text('{"kind": "swe')
+    with pytest.raises(MissingArtifactError, match=name):
+        emit_report(str(tmp_path))
+    result = run_cli("report", "--out", str(tmp_path))
+    assert result.returncode == 5
+    assert name in result.stderr
+    assert "Traceback" not in result.stderr

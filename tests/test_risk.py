@@ -235,3 +235,19 @@ class TestGeometricRate:
         series = scale * rate ** np.arange(25)
         fit = m.fit_geometric_rate(series)
         assert fit.rate == pytest.approx(rate, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_centred_least_squares_bitwise(self, seed):
+        # reference: the centred slope / residual arithmetic written out
+        rng = np.random.RandomState(seed)
+        series = 3.0 * 0.9 ** np.arange(60) * np.exp(0.1 * rng.randn(60))
+        y = np.log(series)
+        t = np.arange(series.size, dtype=float)
+        tc = t - t.mean()
+        slope = float(np.sum(tc * y) / np.sum(tc * tc))
+        intercept = float(y.mean() - slope * t.mean())
+        resid = y - intercept - slope * t
+        tss = float(np.sum((y - y.mean()) ** 2))
+        fit = m.fit_geometric_rate(series)
+        assert fit.rate == math.exp(slope)
+        assert fit.r_squared == 1.0 - float(np.sum(resid * resid)) / tss

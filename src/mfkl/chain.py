@@ -20,7 +20,7 @@ from .errors import (
     ObserverError,
     StepSizeWarning,
 )
-from .model import ParticleState, potential_gradient
+from .model import ParticleState, potential_gradient, readonly_state
 from .rng import RngStream, derive_seed
 
 
@@ -198,8 +198,12 @@ def run_chain(model, init, params, observers=(), rng=None):
             raise NumericalDomainError(f"step {step}: {err}") from err
         if not np.isfinite(v).all():
             raise NumericalDomainError(f"step {step}: non-finite velocities")
+        if not np.isfinite(x).all():
+            raise NumericalDomainError(f"step {step}: non-finite positions")
         if observers:
-            snapshot = ParticleState(x, v, space).readonly_view()
+            # x and v are fresh arrays of the validated shape, already
+            # wrapped and finite: no ParticleState validation is needed
+            snapshot = readonly_state(x, v, space)
             for obs in observers:
                 obs.notify(step, snapshot)
     return ParticleState(x, v, space), [getattr(obs, "records", None) for obs in observers]

@@ -151,15 +151,18 @@ def validate_config(config):
 
 
 def _read_json(path, error, what):
-    """JSON document at ``path``; raises ``error`` naming the file when it
-    cannot be read or is not UTF-8 JSON."""
+    """JSON object at ``path``; raises ``error`` naming the file when it
+    cannot be read, is not UTF-8 JSON, or holds JSON that is not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except OSError as err:
         raise error(f"cannot read {what} {path}: {err.strerror or err}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise error(f"{what} {path} is not UTF-8 JSON: {err}") from err
+    if not isinstance(document, dict):
+        raise error(f"{what} {path} holds a JSON {type(document).__name__}, not an object")
+    return document
 
 
 def load_config(path):

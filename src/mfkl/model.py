@@ -28,10 +28,9 @@ def ordered_sum(values, axis):
 
 
 def ordered_mean(values, axis, keepdims=False):
-    out = ordered_sum(values, axis) / values.shape[axis]
-    if keepdims:
-        out = np.expand_dims(out, axis)
-    return out
+    """Mean along ``axis`` of the ascending-order sum (see :func:`ordered_sum`)."""
+    total = np.sum(np.sort(values, axis=axis), axis=axis, keepdims=keepdims)
+    return total / values.shape[axis]
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,24 @@ class ParticleState:
 
     def readonly_view(self):
         """Same data with write access disabled (handed to observers)."""
-        pos = self.positions.view()
-        vel = self.velocities.view()
-        pos.flags.writeable = False
-        vel.flags.writeable = False
-        view = object.__new__(ParticleState)
-        view.positions = pos
-        view.velocities = vel
-        view.space = self.space
-        return view
+        return readonly_state(self.positions, self.velocities, self.space)
+
+
+def readonly_state(positions, velocities, space):
+    """A :class:`ParticleState` over write-protected views of the arrays.
+
+    Skips validation: the caller vouches that the arrays already form a
+    valid state (matching ``(N, d)`` shapes, finite, wrapped on the torus).
+    """
+    pos = positions.view()
+    vel = velocities.view()
+    pos.flags.writeable = False
+    vel.flags.writeable = False
+    view = object.__new__(ParticleState)
+    view.positions = pos
+    view.velocities = vel
+    view.space = space
+    return view
 
 
 _COEFF_FIELDS = (

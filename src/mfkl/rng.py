@@ -16,11 +16,23 @@ An unconsumed second member of a Box-Muller pair is carried over to the
 next request, so splitting one request for ``n`` normals into several
 smaller requests yields the identical sequence.
 
+Small requests are served from a read-ahead buffer of ``_PAIR_BLOCK``
+Box-Muller pairs, drawn one block at a time; requests of a block or more
+are transformed straight into their output array.  The read-ahead is
+invisible in the byte stream: the generator state before each block is
+kept, and the next ``raw``/``uniforms`` request first rewinds to it and
+re-draws only the words of the pairs already handed out, keeping the
+unpaired member of a half-used pair as the carry.  Interleaving normals
+with raw words or uniforms therefore gives the same numbers as the
+unbuffered stream described above.
+
 Substream derivation uses the SplitMix64 output function: child ``k`` of a
 stream seeded with ``s`` is seeded with ``mix64(s + (k+1) * GOLDEN)``,
 which is the ``(k+1)``-th output of the SplitMix64 sequence started at
 ``s``.
 """
+
+import math
 
 import numpy as np
 
@@ -30,6 +42,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # salt applied before deriving per-particle substreams, so that particle
 # substreams never collide with replica substreams of the same master seed
 PARTICLE_SALT = 0x632BE59BD9B4E019
+
+# Box-Muller pairs drawn per refill of the read-ahead buffer of normals
+_PAIR_BLOCK = 256
 
 
 def mix64(x):
@@ -47,6 +62,24 @@ def derive_seed(master_seed, index):
     return mix64((int(master_seed) + (index + 1) * GOLDEN) & _MASK64)
 
 
+def _box_muller(words, out):
+    """Normals of the pairs in ``words`` (an even count) written into ``out``.
+
+    ``out`` holds either one normal per word or one fewer; in the second
+    case the sine member of the last pair does not fit and is returned.
+    """
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))  # 1 - u in (0, 1]: finite log
+    angle = 2.0 * np.pi * u[1::2]
+    np.multiply(radius, np.cos(angle), out=out[0::2])
+    sine = np.sin(angle)
+    if out.size % 2:
+        np.multiply(radius[:-1], sine[:-1], out=out[1::2])
+        return radius[-1] * sine[-1]
+    np.multiply(radius, sine, out=out[1::2])
+    return None
+
+
 class RngStream:
     """Sequential stream of uniforms/normals from a keyed Philox generator."""
 
@@ -56,10 +89,27 @@ class RngStream:
             raise ValueError("seed must fit in 64 bits")
         self.seed = seed
         self._bits = np.random.Philox(key=seed)
-        self._spare = None
+        # normals drawn but not yet handed out start at self._buf[self._pos];
+        # self._block_state is the generator state before their words were
+        # drawn, or None once the buffer holds only a carried pair member
+        self._buf = np.empty(0)
+        self._pos = 0
+        self._block_state = None
+
+    def _rewind(self):
+        """Return the read-ahead words of pairs not yet handed out."""
+        pos = self._pos
+        if pos < self._buf.size:
+            self._bits.state = self._block_state
+            self._bits.random_raw(2 * ((pos + 1) // 2))
+            self._buf = self._buf[pos:pos + pos % 2]
+            self._pos = 0
+        self._block_state = None
 
     def raw(self, n):
         """Next ``n`` raw 64-bit words."""
+        if self._block_state is not None:
+            self._rewind()
         return self._bits.random_raw(n)
 
     def uniforms(self, n):
@@ -69,30 +119,27 @@ class RngStream:
     def normals(self, n):
         """Next ``n`` standard normals (Box-Muller, with pair carry)."""
         out = np.empty(n)
-        filled = 0
-        if self._spare is not None and n > 0:
-            out[0] = self._spare
-            self._spare = None
-            filled = 1
-        remaining = n - filled
-        if remaining > 0:
-            pairs = (remaining + 1) // 2
-            u = self.uniforms(2 * pairs)
-            g = 1.0 - u[0::2]  # in (0, 1], keeps log finite
-            radius = np.sqrt(-2.0 * np.log(g))
-            angle = 2.0 * np.pi * u[1::2]
-            z = np.empty(2 * pairs)
-            z[0::2] = radius * np.cos(angle)
-            z[1::2] = radius * np.sin(angle)
-            out[filled:] = z[:remaining]
-            if 2 * pairs > remaining:
-                self._spare = z[-1]
+        pos = self._pos
+        filled = min(n, self._buf.size - pos)
+        out[:filled] = self._buf[pos:pos + filled]
+        self._pos = pos + filled
+        rest = n - filled
+        if rest >= 2 * _PAIR_BLOCK:
+            self._block_state = None
+            carry = _box_muller(self._bits.random_raw(rest + rest % 2), out[filled:])
+            self._buf = np.empty(0) if carry is None else np.array([carry])
+            self._pos = 0
+        elif rest > 0:
+            self._block_state = self._bits.state
+            self._buf = np.empty(2 * _PAIR_BLOCK)
+            _box_muller(self._bits.random_raw(2 * _PAIR_BLOCK), self._buf)
+            out[filled:] = self._buf[:rest]
+            self._pos = rest
         return out
 
     def normal_matrix(self, shape):
         """Normals filled in row-major order (particle-major, coordinate-minor)."""
-        size = int(np.prod(shape))
-        return self.normals(size).reshape(shape)
+        return self.normals(math.prod(shape)).reshape(shape)
 
     def derive(self, index):
         """Independent child stream (used for replicas and workers)."""

@@ -237,6 +237,34 @@ class TestRunChain:
         with pytest.raises(ObserverError, match="step 5"):
             m.run_chain(quad_plain, init, params, [Observer(boom)], RngStream(3))
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_observer_cannot_write_the_state(self, quad_plain, stride):
+        init = m.sample_initial({"kind": "point", "at": 0.0}, 2, quad_plain.space, RngStream(1))
+        params = ChainParams(h=0.05, gamma=1.0, n_steps=4)
+
+        def scribble(step, state):
+            if step > 0:
+                state.positions[0, 0] = 1.0
+            return step
+
+        with pytest.raises(ObserverError, match=f"step {stride}"):
+            m.run_chain(quad_plain, init, params, [Observer(scribble, stride)], RngStream(3))
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_overflowing_positions_raise(self, observed):
+        model = zero_force_model()
+        init = ParticleState([[1.7e308]], [[1e308]], model.space)
+        params = ChainParams(h=0.5, gamma=1.0, n_steps=3)
+
+        def finite_only(step, state):
+            assert np.isfinite(state.positions).all(), "observer saw non-finite positions"
+            return step
+
+        observers = [Observer(finite_only)] if observed else []
+        with np.errstate(over="ignore"), pytest.raises(m.NumericalDomainError,
+                                                      match="non-finite"):
+            m.run_chain(model, init, params, observers, RngStream(3))
+
     def test_gradient_cache_matches_naive_kernel(self, quad_interacting, torus_model):
         for model in (quad_interacting, torus_model):
             if model.space.is_torus:
@@ -383,3 +411,40 @@ class TestRunReplicas:
         params = ChainParams(h=0.05, gamma=1.0, n_steps=3, master_seed=1)
         runs = run_replicas(quad_interacting, {"kind": "point", "at": 0.0}, 2, params, 2)
         assert [records for _, records in runs] == [[], []]
+
+    @pytest.mark.parametrize("law, init_calls", [
+        ({"kind": "point", "at": 0.0}, 1),
+        ({"kind": "gaussian", "mean": 0.0, "std": 1.0}, 2),
+    ])
+    def test_call_counts_match_closed_forms(self, quad_interacting, monkeypatch, law,
+                                            init_calls):
+        """One normals call per step (plus the initial draws) and one gradient
+        per step plus one at start, per replica: the counts a traced
+        benchmark run checks."""
+        import mfkl.chain as chain_module
+        from mfkl.chain import run_replicas
+
+        calls = {"normals": 0, "gradient": 0}
+        normals, gradient = RngStream.normals, chain_module.potential_gradient
+
+        def counted_normals(self, n):
+            calls["normals"] += 1
+            return normals(self, n)
+
+        def counted_gradient(model, positions):
+            calls["gradient"] += 1
+            return gradient(model, positions)
+
+        monkeypatch.setattr(RngStream, "normals", counted_normals)
+        monkeypatch.setattr(chain_module, "potential_gradient", counted_gradient)
+        params = ChainParams(h=0.05, gamma=1.0, n_steps=600, master_seed=5)
+
+        init = m.sample_initial(law, 3, quad_interacting.space, RngStream(4))
+        calls.update(normals=0, gradient=0)
+        m.run_chain(quad_interacting, init, params, [Observer(lambda s, x: s)], RngStream(5))
+        assert calls == {"normals": params.n_steps, "gradient": params.n_steps + 1}
+
+        calls.update(normals=0, gradient=0)
+        run_replicas(quad_interacting, law, 3, params, 4, lambda s, x: s)
+        assert calls == {"normals": 4 * (params.n_steps + init_calls),
+                         "gradient": 4 * (params.n_steps + 1)}

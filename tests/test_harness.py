@@ -596,3 +596,17 @@ def test_report_on_corrupt_result_file_exit_5(tmp_path, name):
     assert result.returncode == 5
     assert name in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name", ["config.json", "summary.json"])
+@pytest.mark.parametrize("content", ["[1]", '"x"'])
+def test_report_on_non_object_result_file_exit_5(tmp_path, name, content):
+    write_json(tmp_path / "config.json", {"kind": "sweep_h"})
+    write_json(tmp_path / "summary.json", {"experiment": "sweep_h", "pass": True})
+    (tmp_path / name).write_text(content)
+    with pytest.raises(MissingArtifactError, match=name):
+        emit_report(str(tmp_path))
+    result = run_cli("report", "--out", str(tmp_path))
+    assert result.returncode == 5
+    assert name in result.stderr
+    assert "Traceback" not in result.stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfkl import PerParticleStreams, RngStream, derive_seed
 from mfkl.rng import mix64
@@ -69,3 +71,74 @@ def test_per_particle_streams_disjoint_from_replica_streams():
     particle = PerParticleStreams(1234, ranks=[0]).normal_matrix((1, 4))[0]
     replica = RngStream(derive_seed(1234, 0)).normals(4)
     assert not np.array_equal(particle, replica)
+
+
+class _ReferenceStream:
+    """The unbuffered Box-Muller stream: one Philox word pair per normal pair,
+    drawn on request, with the unpaired second member carried over."""
+
+    def __init__(self, seed):
+        self._bits = np.random.Philox(key=seed)
+        self._spare = None
+
+    def raw(self, n):
+        return self._bits.random_raw(n)
+
+    def uniforms(self, n):
+        return (self.raw(n) >> np.uint64(11)) * 2.0 ** -53
+
+    def normals(self, n):
+        out = np.empty(n)
+        filled = 0
+        if self._spare is not None and n > 0:
+            out[0] = self._spare
+            self._spare = None
+            filled = 1
+        remaining = n - filled
+        if remaining > 0:
+            pairs = (remaining + 1) // 2
+            u = self.uniforms(2 * pairs)
+            g = 1.0 - u[0::2]
+            radius = np.sqrt(-2.0 * np.log(g))
+            angle = 2.0 * np.pi * u[1::2]
+            z = np.empty(2 * pairs)
+            z[0::2] = radius * np.cos(angle)
+            z[1::2] = radius * np.sin(angle)
+            out[filled:] = z[:remaining]
+            if 2 * pairs > remaining:
+                self._spare = z[-1]
+        return out
+
+    def normal_matrix(self, shape):
+        return self.normals(int(np.prod(shape))).reshape(shape)
+
+
+# sizes run past two read-ahead blocks (rng._PAIR_BLOCK = 256 pairs, so 512
+# normals a block), so draws cross, end on and straddle block boundaries
+_small = st.integers(0, 7)
+_draws = st.one_of(
+    st.tuples(st.just("normals"), st.one_of(_small, st.integers(0, 1100))),
+    st.tuples(st.just("normal_matrix"), st.tuples(st.integers(0, 40), st.integers(1, 3))),
+    st.tuples(st.just("normal_matrix"), st.tuples(st.integers(1, 520), st.just(2))),
+    st.tuples(st.just("uniforms"), st.one_of(_small, st.integers(0, 600))),
+    st.tuples(st.just("raw"), _small),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), draws=st.lists(_draws, max_size=25))
+def test_interleaved_draws_match_unbuffered_stream(seed, draws):
+    stream, reference = RngStream(seed), _ReferenceStream(seed)
+    for method, size in draws:
+        got = getattr(stream, method)(size)
+        want = getattr(reference, method)(size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (method, size)
+
+
+def test_negative_normal_count_raises():
+    stream = RngStream(11)
+    stream.normals(3)  # leaves buffered normals behind
+    with pytest.raises(ValueError):
+        stream.normals(-1)
+    assert np.array_equal(stream.normals(4), _ReferenceStream(11).normals(7)[3:])

@@ -209,6 +209,14 @@ def run_chain(model, init, params, observers=(), rng=None):
     return ParticleState(x, v, space), [getattr(obs, "records", None) for obs in observers]
 
 
+def _law_point(law, key, d):
+    """``law[key]`` (default 0) as a point of R^d; one number broadcasts."""
+    try:
+        return np.broadcast_to(np.atleast_1d(np.asarray(law.get(key, 0.0), float)), (d,))
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"init.{key} must be a number or {d} numbers") from err
+
+
 def sample_initial(law, n_particles, space, rng):
     """Draw an exchangeable initial state: iid positions, Gaussian velocities.
 
@@ -222,8 +230,7 @@ def sample_initial(law, n_particles, space, rng):
     kind = law.get("kind")
     d = space.d
     if kind == "point":
-        at = np.asarray(law.get("at", 0.0), dtype=float)
-        point = np.broadcast_to(np.atleast_1d(at), (d,))
+        point = _law_point(law, "at", d)
         if space.is_torus and ((point < 0.0).any() or (point >= 1.0).any()):
             raise ConfigurationError("point mass must lie in [0,1)^d on the torus")
         positions = np.tile(point, (n_particles, 1))
@@ -232,7 +239,7 @@ def sample_initial(law, n_particles, space, rng):
             raise ConfigurationError(
                 "gaussian initial positions on the torus need wrap=true"
             )
-        mean = np.broadcast_to(np.atleast_1d(np.asarray(law.get("mean", 0.0), float)), (d,))
+        mean = _law_point(law, "mean", d)
         std = float(law.get("std", 1.0))
         positions = mean + std * rng.normal_matrix((n_particles, d))
         positions = space.wrap(positions)

@@ -73,7 +73,8 @@ _SCHEMA = {
                 "variant": {"type": "string"},
                 "r": _NUM, "s": _NUM, "L": _NUM, "a": _NUM, "b": _NUM,
                 "d": _POS_INT, "ridge_r": _NUM,
-                "xs": {"type": "array"}, "ys": {"type": "array"},
+                "xs": {"type": "array", "items": {"type": "array", "items": _NUM}},
+                "ys": {"type": "array", "items": _NUM},
             },
         },
         "n_particles": _POS_INT,
@@ -92,8 +93,8 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["point", "gaussian", "uniform"]},
-                "at": {"type": ["number", "array"]},
-                "mean": {"type": ["number", "array"]},
+                "at": {"type": ["number", "array"], "items": _NUM},
+                "mean": {"type": ["number", "array"], "items": _NUM},
                 "std": _NUM,
                 "wrap": {"type": "boolean"},
             },

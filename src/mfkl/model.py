@@ -11,8 +11,9 @@ sequence does not depend on the original particle order, which makes every
 force evaluation bitwise permutation-equivariant.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,13 +134,6 @@ def readonly_state(positions, velocities, space):
     return view
 
 
-_COEFF_FIELDS = (
-    "m1x", "m1m", "l1", "l2", "l3", "df_sup",
-    "m_bnd", "lambda_growth", "r_conf", "k_conf", "l_hess",
-    "c0", "c1", "r0_low", "r1_up",
-)
-
-
 @dataclass(frozen=True)
 class ModelCoefficients:
     """Declared regularity and drift coefficients of a model.
@@ -166,10 +160,10 @@ class ModelCoefficients:
     r1_up: float | None = None
 
     def __post_init__(self):
-        for name in _COEFF_FIELDS:
-            value = getattr(self, name)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if value is not None and (not math.isfinite(value) or value < 0.0):
-                raise ConfigurationError(f"coefficient {name} must be a nonnegative real")
+                raise ConfigurationError(f"coefficient {f.name} must be a nonnegative real")
         if self.c0 is not None and self.c1 is not None and self.c0 > self.c1:
             raise ConfigurationError("need c0 <= c1")
         if self.r0_low is not None and self.r1_up is not None and self.r0_low > self.r1_up:
@@ -200,12 +194,16 @@ class MeanFieldModel:
 
     ``force_all`` is an optional vectorized evaluation returning the force
     at every particle of ``positions`` (any number of leading batch axes);
-    its rows must coincide bitwise with per-row ``force`` calls.
+    its rows must coincide bitwise with per-row ``force`` calls.  Built-in
+    models state the force once, as ``field(positions, queries)`` at
+    ``(..., M, d)`` query points, computing each query row on its own;
+    ``force`` is the field at ``x`` alone, ``force_all`` at the particles.
+    Built-in pair energies, like pair forces, take O(B N d) memory.
     """
 
     space: Space
     force: "callable"
-    coeffs: ModelCoefficients = field(default_factory=ModelCoefficients)
+    coeffs: ModelCoefficients = dataclasses.field(default_factory=ModelCoefficients)
     force_all: "callable | None" = None
     energy: "callable | None" = None
     linear_derivative: "callable | None" = None
@@ -261,67 +259,94 @@ def _coordinate_major(points):
 def _sum_sorted_pairs(pairs):
     """``np.sum(axis=-2)`` of the C-contiguous copy of ``pairs``, bitwise.
 
-    With d = 1 the j axis is the fast axis of that copy, which numpy sums
-    pairwise, so the copy itself is summed.  With d > 1 numpy adds the j
-    terms one at a time onto +0.0; a running sum along j gives the same bits
-    without the transposing copy, and ``+ 0.0`` is the +0.0 start (it
-    changes only an all -0.0 total, to +0.0).
+    With a last axis of length 1 the j axis is the fast axis of that copy,
+    which numpy sums pairwise, so the copy itself is summed.  Otherwise
+    numpy adds the j terms one at a time onto +0.0; a running sum along j
+    gives the same bits without the transposing copy, and ``+ 0.0`` is the
+    +0.0 start (it changes only an all -0.0 total, to +0.0).
     """
     if pairs.shape[-1] == 1:
         return np.sum(np.ascontiguousarray(pairs), axis=-2)
     return np.cumsum(pairs, axis=-2)[..., -1, :] + 0.0
 
 
-def _pair_sums(grad_w, positions, queries=None):
+def _pair_sums(grad_w, positions, queries, width=None):
     """Row i: the ordered sum over j of ``grad_w(queries[i], positions[j])``.
 
-    ``queries`` defaults to ``positions``.  Both point sets are copied once
+    ``grad_w`` returns ``(..., B, N, width)`` terms; ``width`` defaults to d
+    (forces), and pair energies pass 1.  Both point sets are copied once
     into coordinate-major memory, so the strided views handed to ``grad_w``
-    produce ``(..., B, N, d)`` pair arrays whose j axis is contiguous for
-    every coordinate.  Query rows are
-    taken B at a time, with (batch size) * B * N * d <= ``_PAIR_BLOCK``:
-    memory is O(B N d) instead of O(N^2 d).  Every row still sorts all N
-    contributions before summing, so blocking does not change a bit.
+    produce pair arrays whose j axis is contiguous for every coordinate.
+    Query rows are taken B at a time, with (batch size) * B * N * d <=
+    ``_PAIR_BLOCK``: memory is O(B N d) instead of O(N^2 d).  Every row
+    still sorts all N contributions before summing, so blocking does not
+    change a bit.
     """
     cols_cm = _coordinate_major(positions)
-    rows_cm = cols_cm if queries is None else _coordinate_major(queries)
+    rows_cm = cols_cm if queries is positions else _coordinate_major(queries)
     rows = np.moveaxis(rows_cm[..., :, None], 0, -1)
     cols = np.moveaxis(cols_cm[..., None, :], 0, -1)
     batch = np.broadcast_shapes(rows_cm.shape[1:-1], cols_cm.shape[1:-1])
     d, n_rows, n = cols_cm.shape[0], rows_cm.shape[-1], cols_cm.shape[-1]
     block = max(1, _PAIR_BLOCK // max(1, math.prod(batch) * n * d))
-    out = np.empty(batch + (n_rows, d))
+    # allocated before the first block: allocated after it, the peak RSS of
+    # the N=1024 pair force run grew by 0.5 MB
+    out = np.empty(batch + (n_rows, width or d))
     for start in range(0, n_rows, block):
+        # keeping ``pairs`` bound until reassigned is 1.5x faster (N=1024,
+        # d=2) than freeing it right after the sort
         pairs = grad_w(rows[..., start:start + block, :, :], cols)
         out[..., start:start + block, :] = _sum_sorted_pairs(np.sort(pairs, axis=-2))
     return out
 
 
-def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pairwise"):
-    """Energy from an external potential V and a symmetric pair kernel W.
-
-    ``grad_v(x)`` and ``grad_w(x, y)`` (gradient in the first argument) must
-    broadcast over leading axes.  ``grad_w`` receives strided views of
-    ``(..., B, 1, d)`` query rows and ``(..., 1, N, d)`` particles; it must act
-    elementwise over the leading axes and may reduce only over the last
-    (coordinate) axis.  Forces are evaluated B query rows at a time, so their
-    memory is O(B N d).  The self-interaction term j = i is kept in the pair
-    sum, matching the empirical-measure definition of the force.
-    ``v``/``w`` enable the energy; on the torus the callables themselves are
-    responsible for periodicity.  :func:`gauss_attract_repel_model` and
-    :func:`torus_trig_model` are built on this function.
-    """
+def _field_model(space, field, **fields):
+    """A :class:`MeanFieldModel` whose ``force`` and ``force_all`` evaluate ``field``."""
 
     def force(positions, x):
         positions = np.asarray(positions, dtype=float)
         x = np.asarray(x, dtype=float)
         query = np.broadcast_to(x, x.shape[:-1] + positions.shape[-1:])[..., None, :]
-        pair = _pair_sums(grad_w, positions, query)[..., 0, :]
-        return grad_v(x) + pair / positions.shape[-2]
+        return field(positions, query)[..., 0, :]
 
     def force_all(positions):
         positions = np.asarray(positions, dtype=float)
-        return grad_v(positions) + _pair_sums(grad_w, positions) / positions.shape[-2]
+        return field(positions, positions)
+
+    return MeanFieldModel(space=space, force=force, force_all=force_all, **fields)
+
+
+def _confinement(r):
+    """The external potential ``(r/2)|x|^2`` and the coefficients it fixes."""
+
+    def external(x):
+        return 0.5 * r * np.sum(np.atleast_1d(x) ** 2, axis=-1)
+
+    return external, dict(
+        r_conf=r, k_conf=0.0, l_hess=r, c0=0.5 * r, c1=0.5 * r, r0_low=0.0, r1_up=0.0
+    )
+
+
+def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pairwise"):
+    """Energy from an external potential V and a symmetric pair kernel W.
+
+    The force field at query q is ``grad_v(q) + mean_j grad_w(q, x_j)``.
+    ``grad_v(x)`` and ``grad_w(x, y)`` (gradient in the first argument) must
+    broadcast over leading axes.  ``grad_w`` and ``w`` receive strided views
+    of ``(..., B, 1, d)`` query rows and ``(..., 1, N, d)`` particles; they
+    must act elementwise over the leading axes and may reduce only over the
+    last (coordinate) axis.  Pair sums are taken B query rows at a time, so
+    forces and energy need O(B N d) memory.  The self-interaction term
+    j = i is kept, matching the empirical-measure definition of the force.
+    ``v``/``w`` enable the energy, whose pair part is an ordered sum over
+    rows of each row's sorted sum over j; on the torus the callables
+    themselves are responsible for periodicity.
+    :func:`gauss_attract_repel_model` and :func:`torus_trig_model` are
+    built on this function.
+    """
+
+    def field(positions, queries):
+        return grad_v(queries) + _pair_sums(grad_w, positions, queries) / positions.shape[-2]
 
     energy = None
     if v is not None and w is not None:
@@ -329,18 +354,11 @@ def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pai
             positions = np.asarray(positions, dtype=float)
             n = positions.shape[-2]
             ext = ordered_sum(v(positions), axis=-1) / n
-            pair = w(positions[..., :, None, :], positions[..., None, :, :])
-            inter = ordered_sum(pair.reshape(pair.shape[:-2] + (n * n,)), axis=-1)
-            return ext + inter / (2.0 * n * n)
+            rows = _pair_sums(lambda x, y: w(x, y)[..., None], positions, positions, 1)
+            return ext + ordered_sum(rows[..., 0], axis=-1) / (2.0 * n * n)
 
-    return MeanFieldModel(
-        space=space,
-        force=force,
-        force_all=force_all,
-        energy=energy,
-        coeffs=coeffs or ModelCoefficients(),
-        name=name,
-    )
+    return _field_model(space, field, energy=energy, coeffs=coeffs or ModelCoefficients(),
+                        name=name)
 
 
 def quadratic_model(r, s, d=1):
@@ -353,18 +371,11 @@ def quadratic_model(r, s, d=1):
         raise ConfigurationError("quadratic model needs r > 0")
     if s < 0.0:
         raise ConfigurationError("quadratic model needs s >= 0")
-    space = Space(EUCLIDEAN, d)
+    external, confinement = _confinement(r)
 
-    def force(positions, x):
-        positions = np.asarray(positions, dtype=float)
-        x = np.asarray(x, dtype=float)
-        mean = ordered_mean(positions, axis=-2)
-        return r * x + 2.0 * s * (x - mean)
-
-    def force_all(positions):
-        positions = np.asarray(positions, dtype=float)
+    def field(positions, queries):
         mean = ordered_mean(positions, axis=-2, keepdims=True)
-        return r * positions + 2.0 * s * (positions - mean)
+        return r * queries + 2.0 * s * (queries - mean)
 
     def energy(positions):
         positions = np.asarray(positions, dtype=float)
@@ -387,25 +398,17 @@ def quadratic_model(r, s, d=1):
         l3=0.0,
         lambda_growth=2.0 * s,
         m_bnd=0.0,
-        r_conf=r,
-        k_conf=0.0,
-        l_hess=r,
-        c0=0.5 * r,
-        c1=0.5 * r,
-        r0_low=0.0,
-        r1_up=0.0,
+        **confinement,
     )
-    model = MeanFieldModel(
-        space=space,
-        force=force,
-        force_all=force_all,
+    return _field_model(
+        Space(EUCLIDEAN, d),
+        field,
         energy=energy,
         linear_derivative=linear_derivative if d == 1 else None,
-        external_potential=lambda x: 0.5 * r * np.sum(np.atleast_1d(x) ** 2, axis=-1),
+        external_potential=external,
         coeffs=coeffs,
         name=f"quadratic(r={r}, s={s})",
     )
-    return model
 
 
 def gauss_attract_repel_model(big_l, s, r, d=1):
@@ -420,6 +423,7 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
     if big_l < 0.0 or s < 0.0:
         raise ConfigurationError("gauss_attract_repel needs L >= 0 and s >= 0")
     space = Space(EUCLIDEAN, d)
+    external, confinement = _confinement(r)
 
     def pair_grad(x, y):
         delta = x - y
@@ -430,9 +434,6 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
         delta = x - y
         sq = np.sum(delta * delta, axis=-1)
         return big_l * np.exp(-sq) + s * sq
-
-    def external(x):
-        return 0.5 * r * np.sum(np.atleast_1d(x) ** 2, axis=-1)
 
     def linear_derivative(density, x):
         x = np.asarray(x, dtype=float)
@@ -449,20 +450,11 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
         l1=r + 4.0 * s + 2.0 * hess_w1,
         lambda_growth=2.0 * s,
         m_bnd=bounded_force,
-        r_conf=r,
-        k_conf=0.0,
-        l_hess=r,
-        c0=0.5 * r,
-        c1=0.5 * r,
-        r0_low=0.0,
-        r1_up=0.0,
-    )
-    model = pairwise_model(
-        space, lambda x: r * x, pair_grad, v=external, w=pair_w, coeffs=coeffs,
-        name=f"gauss_attract_repel(L={big_l}, s={s}, r={r})",
+        **confinement,
     )
     return replace(
-        model,
+        pairwise_model(space, lambda x: r * x, pair_grad, v=external, w=pair_w, coeffs=coeffs,
+                       name=f"gauss_attract_repel(L={big_l}, s={s}, r={r})"),
         linear_derivative=linear_derivative if d == 1 else None,
         external_potential=external,
     )
@@ -506,12 +498,9 @@ def torus_trig_model(a, b, d=1):
         l1=4.0 * np.pi ** 2 * (abs(a) + 2.0 * abs(b)),
         df_sup=two_pi * (abs(a) + abs(b)) * math.sqrt(d),
     )
-    model = pairwise_model(
-        space, grad_v, pair_grad, v=external, w=pair_w, coeffs=coeffs,
-        name=f"torus_trig(a={a}, b={b})",
-    )
     return replace(
-        model,
+        pairwise_model(space, grad_v, pair_grad, v=external, w=pair_w, coeffs=coeffs,
+                       name=f"torus_trig(a={a}, b={b})"),
         linear_derivative=linear_derivative if d == 1 else None,
         external_potential=external,
     )
@@ -526,36 +515,35 @@ def flat_convex_regression_model(xs, ys, ridge_r=1.0):
 
     Quadratic loss against a finite dataset; the population predictor is
     the average of ``sigmoid(theta . x)`` over particles, which makes the
-    data term convex along linear interpolations of measures.
+    data term convex along linear interpolations of measures.  Sums over
+    the dataset and the coordinates are elementwise per row (no matrix
+    products), so each force row depends only on its own query point and
+    on the sorted particle average; temporaries are ``(..., M, K, d)``.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    try:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError("dataset must be numeric xs (K, d) with ys (K,)") from err
     if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
         raise ConfigurationError("dataset must be xs (K, d) with ys (K,)")
     if ridge_r <= 0.0:
         raise ConfigurationError("ridge coefficient must be positive")
     n_data, d = xs.shape
-    space = Space(EUCLIDEAN, d)
+    external, confinement = _confinement(ridge_r)
+
+    def activations(points):
+        # (..., M, K): sigmoid(theta_m . x_k)
+        return _sigmoid(np.sum(points[..., :, None, :] * xs, axis=-1))
 
     def predictions(positions):
-        # activations: (..., N, K); averaged over the particle axis
-        act = _sigmoid(positions @ xs.T)
-        return ordered_mean(act, axis=-2)
+        return ordered_mean(activations(positions), axis=-2)
 
-    def force(positions, theta):
-        positions = np.asarray(positions, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        resid = predictions(positions) - ys  # (..., K)
-        slope = _sigmoid(theta @ xs.T)
-        slope = slope * (1.0 - slope)
-        return ridge_r * theta + (resid * slope) @ xs / n_data
-
-    def force_all(positions):
-        positions = np.asarray(positions, dtype=float)
+    def field(positions, queries):
         resid = predictions(positions)[..., None, :] - ys  # (..., 1, K)
-        slope = _sigmoid(positions @ xs.T)
-        slope = slope * (1.0 - slope)  # (..., N, K)
-        return ridge_r * positions + (resid * slope) @ xs / n_data
+        slope = activations(queries)
+        weight = resid * (slope * (1.0 - slope))  # (..., M, K)
+        return ridge_r * queries + np.sum(weight[..., None] * xs, axis=-2) / n_data
 
     def energy(positions):
         positions = np.asarray(positions, dtype=float)
@@ -575,20 +563,13 @@ def flat_convex_regression_model(xs, ys, ridge_r=1.0):
         lambda_growth=0.0,
         m_bnd=float(np.mean((1.0 + np.abs(ys)) * np.linalg.norm(xs, axis=1)) / 4.0)
         / math.sqrt(d),
-        r_conf=ridge_r,
-        k_conf=0.0,
-        l_hess=ridge_r,
-        c0=0.5 * ridge_r,
-        c1=0.5 * ridge_r,
-        r0_low=0.0,
-        r1_up=0.0,
+        **confinement,
     )
-    return MeanFieldModel(
-        space=space,
-        force=force,
-        force_all=force_all,
+    return _field_model(
+        Space(EUCLIDEAN, d),
+        field,
         energy=energy,
-        external_potential=lambda x: 0.5 * ridge_r * np.sum(np.atleast_1d(x) ** 2, axis=-1),
+        external_potential=external,
         coeffs=coeffs,
         name=f"flat_convex_regression(K={n_data}, d={d}, ridge={ridge_r})",
     )

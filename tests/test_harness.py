@@ -610,3 +610,30 @@ def test_report_on_non_object_result_file_exit_5(tmp_path, name, content):
     assert result.returncode == 5
     assert name in result.stderr
     assert "Traceback" not in result.stderr
+
+
+_FLAT_CONVEX_SAMPLE = {
+    "kind": "sample",
+    "model": {"variant": "flat_convex_regression", "xs": [[1.0, 0.0], [0.0, 1.0]],
+              "ys": [0.2, 0.8]},
+    "n_particles": 2, "chain": {"h": 0.1, "gamma": 1.0, "n_steps": 2, "seed": 1},
+    "init": {"kind": "point", "at": [0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("section, entries, field", [
+    ("init", {"at": [1.0, 2.0, 3.0]}, "at"),
+    ("init", {"kind": "gaussian", "mean": [1.0, 2.0, 3.0]}, "mean"),
+    ("init", {"at": ["a"]}, "at"),
+    ("model", {"xs": [[1.0, 0.0], [0.0]]}, "xs"),
+    ("model", {"xs": [["a", 0.0], [0.0, 1.0]]}, "xs"),
+    ("model", {"ys": ["a", 0.8]}, "ys"),
+])
+def test_malformed_point_or_dataset_exit_2(tmp_path, section, entries, field):
+    config = {**_FLAT_CONVEX_SAMPLE,
+              section: {**_FLAT_CONVEX_SAMPLE[section], **entries}}
+    out = tmp_path / "out"
+    result = run_cli("sample", "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 2
+    assert field in result.stderr
+    assert "Traceback" not in result.stderr

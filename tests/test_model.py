@@ -150,6 +150,17 @@ class TestGradient:
             batch = m.potential_gradient(model, x)
             rows = np.stack([model.force(x, x[i]) for i in range(6)])
             assert np.array_equal(batch, rows), model.name
+        # flat-convex regression: its dataset sums must not mix query rows
+        for n_data, d, n in _FLAT_CONVEX_GRID:
+            model, x = _flat_convex_case(n_data, d, (n, d))
+            rows = np.stack([model.force(x, row) for row in x])
+            assert np.array_equal(m.potential_gradient(model, x), rows), (n_data, d, n)
+        model, x = _flat_convex_case(8, 2, (5, 16, 2))
+        batch = m.potential_gradient(model, x)
+        for k in range(5):
+            assert np.array_equal(batch[k], model.force_all(x[k])), k
+            rows = np.stack([model.force(x[k], row) for row in x[k]])
+            assert np.array_equal(batch[k], rows), k
 
 
 class TestPotential:
@@ -177,6 +188,18 @@ class TestPotential:
         model = m.MeanFieldModel(space=euclid(), force=lambda p, x: np.zeros_like(x))
         with pytest.raises(CapabilityError):
             m.system_potential(model, np.zeros((2, 1)))
+
+
+# (dataset size K, dimension d, particles N) for the flat-convex contract cases
+_FLAT_CONVEX_GRID = [(k, d, n) for k in (1, 8, 17) for d in (1, 2, 5) for n in (7, 33)]
+
+
+def _flat_convex_case(n_data, d, shape):
+    rng = m.RngStream(100 * n_data + d)
+    model = m.flat_convex_regression_model(
+        rng.normal_matrix((n_data, d)), rng.uniforms(n_data), ridge_r=0.7
+    )
+    return model, 1.5 * rng.normal_matrix(shape)
 
 
 def central_difference_gradient(model, positions, step=1e-5):
@@ -226,6 +249,22 @@ def test_finite_difference_regression_model():
         assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, float(np.max(np.abs(grad))))
 
 
+def test_regression_force_matches_matrix_product_reference():
+    # the matrix-product formula the model was first written with; the model
+    # sums the dataset elementwise, in another order, so they agree to rounding
+    from mfkl.model import _sigmoid, ordered_mean
+
+    rng = m.RngStream(56)
+    for n_data, d, n in _FLAT_CONVEX_GRID:
+        xs, ys = rng.normal_matrix((n_data, d)), rng.uniforms(n_data)
+        x = 1.5 * rng.normal_matrix((n, d))
+        act = _sigmoid(x @ xs.T)
+        resid = ordered_mean(act, axis=-2) - ys
+        expected = 0.7 * x + (resid * act * (1.0 - act)) @ xs / n_data
+        got = m.flat_convex_regression_model(xs, ys, ridge_r=0.7).force_all(x)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_permutation_equivariance_bitwise():
     rng = m.RngStream(23)
     perm_rng = np.random.RandomState(4)
@@ -242,6 +281,19 @@ def test_permutation_equivariance_bitwise():
         for _ in range(5):
             sigma = perm_rng.permutation(10)
             assert np.array_equal(m.potential_gradient(model, x[sigma]), grad[sigma])
+    for n_data, d, n in _FLAT_CONVEX_GRID:
+        model, x = _flat_convex_case(n_data, d, (n, d))
+        grad = m.potential_gradient(model, x)
+        for _ in range(5):
+            sigma = perm_rng.permutation(n)
+            assert np.array_equal(
+                m.potential_gradient(model, x[sigma]), grad[sigma]
+            ), (n_data, d, n)
+    model, x = _flat_convex_case(8, 2, (5, 16, 2))
+    grad = m.potential_gradient(model, x)
+    for _ in range(5):
+        sigma = perm_rng.permutation(16)
+        assert np.array_equal(m.potential_gradient(model, x[:, sigma]), grad[:, sigma])
 
 
 def test_lambda_growth_certificate():
@@ -477,4 +529,19 @@ def test_pair_force_memory_is_blocked():
     finally:
         tracemalloc.stop()
     # one-shot (N, N, d) pair arrays peak at about 224 MB here
+    assert peak < 32 * 2 ** 20
+
+
+def test_pair_energy_memory_is_blocked():
+    import tracemalloc
+
+    model = m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=2)
+    x = m.RngStream(9).normal_matrix((2048, 2))
+    tracemalloc.start()
+    try:
+        model.energy(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one-shot (N, N, d) pair arrays peak at about 160 MiB here
     assert peak < 32 * 2 ** 20

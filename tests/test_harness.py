@@ -10,6 +10,7 @@ import pytest
 import mfkl as m
 from mfkl import ConfigurationError, MissingArtifactError
 from mfkl.harness import (
+    _random_states,
     decaying_segment,
     emit_report,
     load_config,
@@ -188,6 +189,19 @@ class TestLyapunovCheckKind:
         )
         assert summary["mode"] == "euclidean_slope"
         assert summary["pass"] is True
+
+    @pytest.mark.parametrize("model", [
+        m.torus_trig_model(0.3, 0.2, d=2),
+        m.quadratic_model(1.0, 0.25, d=2),
+    ], ids=["torus", "euclidean"])
+    def test_random_states_match_reference_draws(self, model, make_random_state):
+        scales = [0.5, 1.0, 3.0]
+        states = _random_states(model, 5, scales, 7, m.RngStream(11))
+        rng = m.RngStream(11)
+        for j, state in enumerate(states):
+            expected = make_random_state(model, 5, rng, scale=scales[j % len(scales)])
+            assert state.positions.tobytes() == expected.positions.tobytes(), j
+            assert state.velocities.tobytes() == expected.velocities.tobytes(), j
 
 
 class TestRiskKind:

@@ -238,6 +238,31 @@ class TestMomentConstant:
         at_three_quarters = running[int(0.75 * len(running)) - 1]
         assert at_three_quarters >= 0.9 * running[-1]
 
+    def test_observer_matches_six_moment_formula(self, make_random_state):
+        rng = RngStream(21)
+        for model in (
+            m.quadratic_model(1.0, 0.25),
+            m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=2),
+            m.torus_trig_model(0.3, 0.2, d=2),
+        ):
+            fn = c1_moment_observer_fn(model)
+            for scale in (0.5, 3.0):
+                state = make_random_state(model, 9, rng, scale=scale)
+                speed_sq = np.sum(state.velocities ** 2, axis=-1)
+                grad = m.potential_gradient(model, state.positions)
+                grad_sq = np.sum(grad * grad, axis=-1)
+                expected = (
+                    float(np.mean(speed_sq)),
+                    float(np.mean(speed_sq ** 2)),
+                    float(np.mean(speed_sq ** 3)),
+                    float(np.mean(grad_sq)),
+                    float(np.mean(grad_sq ** 2)),
+                    float(np.mean(grad_sq ** 3)),
+                )
+                record = fn(0, state.readonly_view())
+                assert type(record) is tuple
+                assert [v.hex() for v in record] == [v.hex() for v in expected], model.name
+
 
 class TestLongRunBoundedness:
     @pytest.mark.parametrize("model_name,h", [("quadratic", 0.05), ("gauss", 0.04)])

@@ -121,6 +121,15 @@ class TestGradient:
         grad = m.potential_gradient(model, np.linspace(-1, 1, 5)[:, None])
         assert np.array_equal(grad, np.zeros((5, 1)))
 
+    def test_force_only_model_falls_back_to_rows(self):
+        inner = m.gauss_attract_repel_model(1.0, 0.1, 1.0)
+        model = m.MeanFieldModel(space=inner.space, force=inner.force)
+        x = m.RngStream(5).normal_matrix((6, 1))
+        rows = np.stack([inner.force(x, x[i]) for i in range(6)])
+        assert m.potential_gradient(model, x).tobytes() == rows.tobytes()
+        with pytest.raises(CapabilityError, match="force_all"):
+            m.potential_gradient(model, np.zeros((2, 3, 1)))
+
     def test_quadratic_closed_form(self):
         model = m.quadratic_model(1.0, 0.25)
         grad = m.potential_gradient(model, np.array([[0.0], [1.0], [2.0]]))

@@ -38,6 +38,20 @@ class TestContractionConstants:
                 a=tc.a * 1.01, kappa=tc.kappa, c2=tc.c2,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 0.0), ("gamma", -1.0), ("rho", 0.0), ("rho", -1.0),
+        ("c1_hat", -1.0), ("delta_n", -1.0),
+    ])
+    def test_invalid_inputs_rejected(self, field, value):
+        inputs = {"gamma": 1.0, "rho": 1.0, "c1_hat": 1.0, "delta_n": 0.5}
+        with pytest.raises(ConfigurationError):
+            m.contraction_constants(**{**inputs, field: value})
+        tc = m.contraction_constants(**inputs)
+        fields = {k: getattr(tc, k) for k in ("gamma", "rho", "c1_hat", "a", "kappa", "c2",
+                                               "delta_n")}
+        with pytest.raises(ConfigurationError):
+            m.TheoryConstants(**{**fields, field: value})
+
     def test_monotone_in_gamma(self):
         gammas = np.linspace(0.05, 3.0, 40)
         a_vals = [m.contraction_constants(g, 1.0).a for g in gammas]

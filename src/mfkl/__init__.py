@@ -14,7 +14,6 @@ from .chain import (
     run_chain,
     sample_initial,
     verlet_step,
-    verlet_step_cached,
 )
 from .errors import (
     CapabilityError,

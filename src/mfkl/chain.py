@@ -78,40 +78,17 @@ def _verlet(model, space, x, v, h, g0):
     return x_new, v - (0.5 * h) * (g0 + g1), g1
 
 
-def verlet_step(model, state, h, leading_gradient=None):
+def verlet_step(model, state, h):
     """One Verlet step of the Hamiltonian with the N-particle potential.
 
-    Returns the new state only.  ``leading_gradient`` may carry a cached
-    gradient at the current positions (the trailing gradient of the previous
-    step); see :func:`verlet_step_cached` to retrieve the trailing gradient
-    for reuse.
-    """
-    new_state, _ = verlet_step_cached(model, state, h, leading_gradient)
-    return new_state
-
-
-def verlet_step_cached(model, state, h, leading_gradient=None):
-    """Verlet step returning ``(new_state, trailing_gradient)``.
-
-    Exactly two gradient evaluations happen per step when no cache is
-    passed; with a cache, one.  Torus positions are wrapped into [0,1)
-    before the trailing gradient is evaluated, so cached and uncached runs
-    agree bitwise.
+    Evaluates the gradient at the current positions and, after wrapping
+    torus positions into [0,1), at the new ones; returns the new state.
     """
     if not h > 0.0:
         raise ConfigurationError("step size h must be positive")
-    g0 = leading_gradient
-    if g0 is None:
-        g0 = potential_gradient(model, state.positions)
-    try:
-        x_new, v_new, g1 = _verlet(
-            model, state.space, state.positions, state.velocities, h, g0
-        )
-    except NumericalDomainError as err:
-        raise NumericalDomainError(f"trailing gradient failed mid-step: {err}") from err
-    if not (np.isfinite(x_new).all() and np.isfinite(v_new).all()):
-        raise NumericalDomainError("non-finite state after Verlet update")
-    return ParticleState(x_new, v_new, state.space), g1
+    g0 = potential_gradient(model, state.positions)
+    x_new, v_new, _ = _verlet(model, state.space, state.positions, state.velocities, h, g0)
+    return ParticleState(x_new, v_new, state.space)
 
 
 def refresh_velocities(state, eta, rng=None, gaussians=None):
@@ -170,8 +147,8 @@ def run_chain(model, init, params, observers=(), rng=None):
     observer's collected records.  The trailing Verlet gradient is reused as
     the next leading gradient (the refresh does not move positions), which
     is bitwise identical to the naive two-evaluations-per-step kernel.  The
-    loop works on raw arrays: the refresh inline, then the same Verlet step
-    as :func:`verlet_step_cached`.
+    loop works on raw arrays: the refresh inline, then :func:`_verlet`, the
+    step under :func:`verlet_step`.
     """
     if rng is None:
         rng = RngStream(params.master_seed)
@@ -241,6 +218,8 @@ def sample_initial(law, n_particles, space, rng):
             )
         mean = _law_point(law, "mean", d)
         std = float(law.get("std", 1.0))
+        if not std >= 0.0:
+            raise ConfigurationError(f"init.std must be nonnegative, got {std}")
         positions = mean + std * rng.normal_matrix((n_particles, d))
         positions = space.wrap(positions)
     elif kind == "uniform":

@@ -56,6 +56,7 @@ OBSERVABLES = {
 _TABLE_HEADER = ("parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass")
 
 _NUM = {"type": "number"}
+_NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 
 _SCHEMA = {
@@ -95,7 +96,7 @@ _SCHEMA = {
                 "kind": {"enum": ["point", "gaussian", "uniform"]},
                 "at": {"type": ["number", "array"], "items": _NUM},
                 "mean": {"type": ["number", "array"], "items": _NUM},
-                "std": _NUM,
+                "std": _NONNEG,
                 "wrap": {"type": "boolean"},
             },
         },
@@ -114,8 +115,7 @@ _SCHEMA = {
         "n_bins": _POS_INT,
         "n_states": _POS_INT,
         "m_draws": _POS_INT,
-        "state_scales": {"type": "array", "items": _NUM, "minItems": 1},
-        "c_euclidean": _NUM,
+        "state_scales": {"type": "array", "items": _NONNEG, "minItems": 1},
         "slope_gate": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
         "damping": _NUM,
         "tol": _NUM,
@@ -203,16 +203,15 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _chain_params(config, n_steps_override=None, h_override=None):
+def _chain_params(config, h_override=None):
     chain = dict(config.get("chain", {}))
     h = h_override if h_override is not None else chain.get("h")
-    n_steps = n_steps_override if n_steps_override is not None else chain.get("n_steps", 0)
     if h is None or "gamma" not in chain:
         raise ConfigurationError("config requires chain.h and chain.gamma")
     return ChainParams(
         h=h,
         gamma=chain["gamma"],
-        n_steps=n_steps,
+        n_steps=chain.get("n_steps", 0),
         master_seed=chain.get("seed", 0),
     )
 
@@ -309,23 +308,19 @@ def _run_sample(config, out_dir, threads):
     def snapshot(step, state):
         return step, state.positions.copy(), state.velocities.copy()
 
+    def state_rows(pos, vel):
+        """One ``(particle, coord, x, v)`` row per coordinate, particle-major."""
+        n, d = pos.shape
+        return [(i, k, pos[i, k], vel[i, k]) for i in range(n) for k in range(d)]
+
     obs = Observer(snapshot, stride=stride)
     final, _ = run_chain(model, init, params, [obs], rng)
 
-    rows = []
-    for step, pos, vel in obs.records:
-        for i in range(pos.shape[0]):
-            for k in range(pos.shape[1]):
-                rows.append((step, i, k, pos[i, k], vel[i, k]))
-    write_csv(os.path.join(out_dir, "trajectory.csv"),
-              ["step", "particle", "coord", "x", "v"], rows)
-    final_rows = [
-        (i, k, final.positions[i, k], final.velocities[i, k])
-        for i in range(final.n_particles)
-        for k in range(final.d)
-    ]
-    write_csv(os.path.join(out_dir, "final_state.csv"),
-              ["particle", "coord", "x", "v"], final_rows)
+    header = ["particle", "coord", "x", "v"]
+    rows = [(step, *row) for step, pos, vel in obs.records for row in state_rows(pos, vel)]
+    write_csv(os.path.join(out_dir, "trajectory.csv"), ["step", *header], rows)
+    write_csv(os.path.join(out_dir, "final_state.csv"), header,
+              state_rows(final.positions, final.velocities))
     return {}
 
 
@@ -447,24 +442,21 @@ def _run_converge(config, out_dir, threads):
 
 
 def _random_states(model, n_particles, scales, n_states, rng):
+    """State ``j`` at spread ``scales[j % len(scales)]``: uniform positions on
+    the torus, N(0, scale^2) on R^d, and N(0, scale^2) velocities."""
     states = []
     for j in range(n_states):
         scale = scales[j % len(scales)]
-        if model.space.is_torus:
-            positions = rng.uniforms(n_particles * model.space.d).reshape(
-                n_particles, model.space.d
-            )
-        else:
-            positions = scale * rng.normal_matrix((n_particles, model.space.d))
-        velocities = scale * rng.normal_matrix((n_particles, model.space.d))
-        states.append(ParticleState(positions, velocities, model.space))
+        law = {"kind": "uniform"} if model.space.is_torus else {"kind": "gaussian", "std": scale}
+        init = sample_initial(law, n_particles, model.space, rng)
+        states.append(ParticleState(init.positions, scale * init.velocities, model.space))
     return states
 
 
 def _run_lyapunov_check(config, out_dir, threads):
     _require(config, "model", "n_particles", "chain", "h_grid")
     model = make_builtin_model(config["model"])
-    per_h = [_chain_params(config, n_steps_override=1, h_override=h) for h in config["h_grid"]]
+    per_h = [_chain_params(config, h_override=h) for h in config["h_grid"]]
     gamma, seed = per_h[0].gamma, per_h[0].master_seed
     n_states = config.get("n_states", 100)
     m_draws = config.get("m_draws", 10_000)

@@ -22,8 +22,8 @@ from .errors import (
     InvariantViolationError,
     NumericalDomainError,
 )
-from .model import EUCLIDEAN, TORUS, potential_gradient
-from .risk import _fit_line
+from .model import EUCLIDEAN, TORUS, potential_gradient, readonly_state
+from .risk import _fit_line, moment_observer_fn
 from .rng import RngStream
 from .theory import lyapunov_constants
 
@@ -261,21 +261,17 @@ def estimate_moment_constant(v_moments, grad_moments, coeffs, d):
 def c1_moment_observer_fn(model):
     """Observer callback collecting the moment records needed for C1.
 
-    Returns ``(v2, v4, v6, g2, g4, g6)`` per visit; costs one extra force
-    evaluation per observed step.
+    Returns ``(v2, v4, v6, g2, g4, g6)`` per visit: the moment record of
+    :func:`mfkl.risk.moment_observer_fn` with the force rows in place of the
+    positions.  Costs one extra force evaluation per observed step.
     """
+    moments = moment_observer_fn((2, 4, 6))
 
     def fn(step, state):
-        speed_sq = np.sum(state.velocities ** 2, axis=-1)
         grad = potential_gradient(model, np.array(state.positions))
-        grad_sq = np.sum(grad * grad, axis=-1)
-        return (
-            float(np.mean(speed_sq)),
-            float(np.mean(speed_sq ** 2)),
-            float(np.mean(speed_sq ** 3)),
-            float(np.mean(grad_sq)),
-            float(np.mean(grad_sq ** 2)),
-            float(np.mean(grad_sq ** 3)),
+        (g2, v2), (g4, v4), (g6, v6) = moments(
+            step, readonly_state(grad, state.velocities, state.space)
         )
+        return v2, v4, v6, g2, g4, g6
 
     return fn

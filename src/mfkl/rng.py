@@ -141,10 +141,6 @@ class RngStream:
         """Normals filled in row-major order (particle-major, coordinate-minor)."""
         return self.normals(math.prod(shape)).reshape(shape)
 
-    def derive(self, index):
-        """Independent child stream (used for replicas and workers)."""
-        return RngStream(derive_seed(self.seed, index))
-
 
 class PerParticleStreams:
     """Noise source with one substream per particle rank.

@@ -45,13 +45,9 @@ class TheoryConstants:
     delta_n: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.rho <= 0.0:
-            raise ConfigurationError("gamma and rho must be positive")
-        if self.c1_hat < 0.0 or self.delta_n < 0.0:
-            raise ConfigurationError("c1_hat and delta_n must be nonnegative")
-        a = self.gamma / (7.0 + 3.0 * (self.gamma + 3.0) ** 2)
-        kappa = a / (3.0 * max(1.0, 1.0 / self.rho) + 6.0 * a)
-        c2 = (1.0 / kappa) * (9.0 + 1.0 / a) * self.c1_hat
+        a, kappa, c2 = _contraction(self.gamma, self.rho, self.c1_hat)
+        if self.delta_n < 0.0:
+            raise ConfigurationError("delta_n must be nonnegative")
         if not (_close(self.a, a) and _close(self.kappa, kappa) and _close(self.c2, c2)):
             raise ConfigurationError(
                 "TheoryConstants fields are not the values implied by their inputs"
@@ -60,15 +56,20 @@ class TheoryConstants:
             raise NumericalDomainError("kappa left (0, 1)")
 
 
-def contraction_constants(gamma, rho, c1_hat=0.0, delta_n=0.0):
-    """Evaluate a = gamma/(7 + 3(gamma+3)^2) and its derived constants."""
+def _contraction(gamma, rho, c1_hat):
+    """``(a, kappa, c2)`` with a = gamma/(7 + 3(gamma+3)^2), from checked inputs."""
     if gamma <= 0.0 or rho <= 0.0:
         raise ConfigurationError("gamma and rho must be positive")
     if c1_hat < 0.0:
         raise ConfigurationError("c1_hat must be nonnegative")
     a = gamma / (7.0 + 3.0 * (gamma + 3.0) ** 2)
     kappa = a / (3.0 * max(1.0, 1.0 / rho) + 6.0 * a)
-    c2 = (1.0 / kappa) * (9.0 + 1.0 / a) * c1_hat
+    return a, kappa, (1.0 / kappa) * (9.0 + 1.0 / a) * c1_hat
+
+
+def contraction_constants(gamma, rho, c1_hat=0.0, delta_n=0.0):
+    """Evaluate a = gamma/(7 + 3(gamma+3)^2) and its derived constants."""
+    a, kappa, c2 = _contraction(gamma, rho, c1_hat)
     return TheoryConstants(
         gamma=gamma, rho=rho, c1_hat=c1_hat, a=a, kappa=kappa, c2=c2, delta_n=delta_n
     )

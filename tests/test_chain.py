@@ -375,6 +375,11 @@ class TestSampleInitial:
         )
         assert (state.positions >= 0.0).all() and (state.positions < 1.0).all()
 
+    def test_negative_std_rejected(self):
+        with pytest.raises(ConfigurationError, match="std"):
+            m.sample_initial({"kind": "gaussian", "std": -1.0}, 4, Space("euclidean", 1),
+                             RngStream(1))
+
     def test_uniform_is_torus_only(self):
         with pytest.raises(ConfigurationError):
             m.sample_initial({"kind": "uniform"}, 4, Space("euclidean", 1), RngStream(1))

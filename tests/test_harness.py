@@ -599,18 +599,6 @@ def test_lyapunov_check_chain_fields_exit_2(tmp_path, chain, seed_args, message)
     assert not (out / "drift.csv").exists()
 
 
-def test_lyapunov_check_c_euclidean_field_exit_2(tmp_path):
-    config = {**_LYAPUNOV_CONFIG, "model": {"variant": "quadratic", "r": 1.0, "s": 0.0},
-              "n_states": 4, "c_euclidean": 50.0}
-    out = tmp_path / "out"
-    result = run_cli("lyapunov_check", "--config", _write_config(tmp_path, config),
-                     "--out", str(out))
-    assert result.returncode == 2
-    assert "c_euclidean" in result.stderr
-    assert "Traceback" not in result.stderr
-    assert not (out / "drift.csv").exists()
-
-
 @pytest.mark.parametrize("name", ["config.json", "summary.json"])
 def test_report_on_corrupt_result_file_exit_5(tmp_path, name):
     write_json(tmp_path / "config.json", {"kind": "sweep_h"})
@@ -665,16 +653,19 @@ def test_malformed_point_or_dataset_exit_2(tmp_path, section, entries, field):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("kind, entries, path", [
-    ("sample", {"init": {"kind": "gaussian", "mean": 0.0, "std": -1.0}}, "$.init.std"),
+@pytest.mark.parametrize("kind, entries, needle", [
+    ("lyapunov_check",
+     {"model": {"variant": "quadratic", "r": 1.0, "s": 0.0}, "c_euclidean": 50.0},
+     "c_euclidean"),
     ("lyapunov_check", {"state_scales": [-1.0, 1.0]}, "$.state_scales[0]"),
+    ("sample", {"init": {"kind": "gaussian", "mean": 0.0, "std": -1.0}}, "$.init.std"),
 ])
-def test_negative_spread_exit_2(tmp_path, kind, entries, path):
+def test_unread_or_negative_config_field_exit_2(tmp_path, kind, entries, needle):
     base = _FLAT_CONVEX_SAMPLE if kind == "sample" else _LYAPUNOV_CONFIG
     out = tmp_path / "out"
     result = run_cli(kind, "--config", _write_config(tmp_path, {**base, **entries}),
                      "--out", str(out))
     assert result.returncode == 2
-    assert path in result.stderr
+    assert needle in result.stderr
     assert "Traceback" not in result.stderr
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,10 +48,8 @@ class TestContractionConstants:
         with pytest.raises(ConfigurationError):
             m.contraction_constants(**{**inputs, field: value})
         tc = m.contraction_constants(**inputs)
-        fields = {k: getattr(tc, k) for k in ("gamma", "rho", "c1_hat", "a", "kappa", "c2",
-                                               "delta_n")}
         with pytest.raises(ConfigurationError):
-            m.TheoryConstants(**{**fields, field: value})
+            dataclasses.replace(tc, **{field: value})
 
     def test_monotone_in_gamma(self):
         gammas = np.linspace(0.05, 3.0, 40)

@@ -22,8 +22,8 @@ from .errors import (
     InvariantViolationError,
     NumericalDomainError,
 )
-from .model import EUCLIDEAN, TORUS, potential_gradient, readonly_state
-from .risk import _fit_line, moment_observer_fn
+from .model import EUCLIDEAN, TORUS, potential_gradient
+from .risk import _fit_line, _moment_record
 from .rng import RngStream
 from .theory import lyapunov_constants
 
@@ -262,15 +262,14 @@ def c1_moment_observer_fn(model):
     """Observer callback collecting the moment records needed for C1.
 
     Returns ``(v2, v4, v6, g2, g4, g6)`` per visit: the moment record of
-    :func:`mfkl.risk.moment_observer_fn` with the force rows in place of the
-    positions.  Costs one extra force evaluation per observed step.
+    :func:`mfkl.risk.moment_observer_fn` taken over the force rows and the
+    velocities.  Costs one extra force evaluation per observed step.
     """
-    moments = moment_observer_fn((2, 4, 6))
 
     def fn(step, state):
         grad = potential_gradient(model, np.array(state.positions))
-        (g2, v2), (g4, v4), (g6, v6) = moments(
-            step, readonly_state(grad, state.velocities, state.space)
+        (g2, v2), (g4, v4), (g6, v6) = _moment_record(
+            grad, state.velocities, (2, 4, 6)
         )
         return v2, v4, v6, g2, g4, g6
 

@@ -100,17 +100,22 @@ def empirical_moments(states, orders=(2, 4, 6)):
     )
 
 
+def _moment_record(a, b, orders):
+    """``((mean|a|^p, mean|b|^p) for p in orders)`` over the rows of a and b."""
+    a_sq = np.sum(a ** 2, axis=-1)
+    b_sq = np.sum(b ** 2, axis=-1)
+    return tuple(
+        (float(np.mean(a_sq ** (p // 2))), float(np.mean(b_sq ** (p // 2))))
+        for p in orders
+    )
+
+
 def moment_observer_fn(orders=(2, 4, 6)):
     """Observer callback producing (p -> mean|x|^p, mean|v|^p) tuples."""
     orders = tuple(orders)
 
     def fn(step, state):
-        x_sq = np.sum(state.positions ** 2, axis=-1)
-        v_sq = np.sum(state.velocities ** 2, axis=-1)
-        return tuple(
-            (float(np.mean(x_sq ** (p // 2))), float(np.mean(v_sq ** (p // 2))))
-            for p in orders
-        )
+        return _moment_record(state.positions, state.velocities, orders)
 
     return fn
 

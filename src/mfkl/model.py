@@ -341,8 +341,7 @@ def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pai
     ``v``/``w`` enable the energy, whose pair part is an ordered sum over
     rows of each row's sorted sum over j; on the torus the callables
     themselves are responsible for periodicity.
-    :func:`gauss_attract_repel_model` and :func:`torus_trig_model` are
-    built on this function.
+    :func:`gauss_attract_repel_model` is built on this function.
     """
 
     def field(positions, queries):
@@ -463,34 +462,39 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
 def torus_trig_model(a, b, d=1):
     """Periodic cosine potential and cosine pair kernel on the torus.
 
-    ``V(x) = a sum_j cos(2 pi x_j)``, ``W(delta) = b sum_j cos(2 pi delta_j)``
-    with minimal-image displacements.  The mean-field force is bounded by
-    ``2 pi (|a| + |b|) sqrt(d)``.
+    ``V(x) = a sum_j cos(2 pi x_j)``, ``W(delta) = b sum_j cos(2 pi delta_j)``;
+    the mean-field force is bounded by ``2 pi (|a| + |b|) sqrt(d)``.  Per
+    coordinate, sin 2 pi (q - x) = sin 2 pi q cos 2 pi x - cos 2 pi q sin 2 pi x,
+    so with C, S the ordered means of cos 2 pi x_j, sin 2 pi x_j the pair force
+    at q is ``-2 pi b (C sin 2 pi q - S cos 2 pi q)`` and the pair energy
+    ``b/2 sum_coords (C^2 + S^2)``: O(N d) time and memory.
     """
-    space = Space(TORUS, d)
     two_pi = 2.0 * np.pi
 
-    def grad_v(x):
-        return -two_pi * a * np.sin(two_pi * x)
+    def trig(points):
+        phase = two_pi * points
+        return np.cos(phase), np.sin(phase)
 
-    def pair_grad(x, y):
-        delta = space.min_image(x - y)
-        return -two_pi * b * np.sin(two_pi * delta)
+    def field(positions, queries):
+        cos_x, sin_x = trig(positions)
+        cos_q, sin_q = (cos_x, sin_x) if queries is positions else trig(queries)
+        c, s = (ordered_mean(t, axis=-2, keepdims=True) for t in (cos_x, sin_x))
+        return -two_pi * a * sin_q - two_pi * b * (sin_q * c - cos_q * s)
 
-    def pair_w(x, y):
-        return np.sum(b * np.cos(two_pi * space.min_image(x - y)), axis=-1)
+    def energy(positions):
+        cos_x, sin_x = trig(np.asarray(positions, dtype=float))
+        c, s = ordered_mean(cos_x, axis=-2), ordered_mean(sin_x, axis=-2)
+        ext = ordered_mean(np.sum(a * cos_x, axis=-1), axis=-1)
+        return ext + 0.5 * b * np.sum(c * c + s * s, axis=-1)
 
     def external(x):
         return np.sum(a * np.cos(two_pi * np.atleast_1d(x)), axis=-1)
 
     def linear_derivative(density, x):
-        x = np.asarray(x, dtype=float)
         weights = density.values * density.dx
-        cos_avg = float(np.cos(two_pi * density.centers) @ weights)
-        sin_avg = float(np.sin(two_pi * density.centers) @ weights)
-        return a * np.cos(two_pi * x) + b * (
-            np.cos(two_pi * x) * cos_avg + np.sin(two_pi * x) * sin_avg
-        )
+        cos_avg, sin_avg = (float(t @ weights) for t in trig(density.centers))
+        cos_x, sin_x = trig(np.asarray(x, dtype=float))
+        return a * cos_x + b * (cos_x * cos_avg + sin_x * sin_avg)
 
     coeffs = ModelCoefficients(
         m1x=4.0 * np.pi ** 2 * (abs(a) + abs(b)),
@@ -498,12 +502,9 @@ def torus_trig_model(a, b, d=1):
         l1=4.0 * np.pi ** 2 * (abs(a) + 2.0 * abs(b)),
         df_sup=two_pi * (abs(a) + abs(b)) * math.sqrt(d),
     )
-    return replace(
-        pairwise_model(space, grad_v, pair_grad, v=external, w=pair_w, coeffs=coeffs,
-                       name=f"torus_trig(a={a}, b={b})"),
-        linear_derivative=linear_derivative if d == 1 else None,
-        external_potential=external,
-    )
+    return _field_model(Space(TORUS, d), field, energy=energy, external_potential=external,
+                        linear_derivative=linear_derivative if d == 1 else None,
+                        coeffs=coeffs, name=f"torus_trig(a={a}, b={b})")
 
 
 def _sigmoid(t):
@@ -536,21 +537,17 @@ def flat_convex_regression_model(xs, ys, ridge_r=1.0):
         # (..., M, K): sigmoid(theta_m . x_k)
         return _sigmoid(np.sum(points[..., :, None, :] * xs, axis=-1))
 
-    def predictions(positions):
-        return ordered_mean(activations(positions), axis=-2)
-
     def field(positions, queries):
-        resid = predictions(positions)[..., None, :] - ys  # (..., 1, K)
-        slope = activations(queries)
+        act = activations(positions)
+        slope = act if queries is positions else activations(queries)
+        resid = ordered_mean(act, axis=-2)[..., None, :] - ys  # (..., 1, K)
         weight = resid * (slope * (1.0 - slope))  # (..., M, K)
         return ridge_r * queries + np.sum(weight[..., None] * xs, axis=-2) / n_data
 
     def energy(positions):
         positions = np.asarray(positions, dtype=float)
-        resid = predictions(positions) - ys
-        ridge = 0.5 * ridge_r * ordered_mean(
-            np.sum(positions * positions, axis=-1), axis=-1
-        )
+        resid = ordered_mean(activations(positions), axis=-2) - ys
+        ridge = 0.5 * ridge_r * ordered_mean(np.sum(positions * positions, axis=-1), axis=-1)
         return ridge + 0.5 * np.mean(resid * resid, axis=-1)
 
     data_scale = float(np.mean((1.0 + np.abs(ys)) * np.sum(xs * xs, axis=1)))

@@ -46,8 +46,8 @@ class TheoryConstants:
 
     def __post_init__(self):
         a, kappa, c2 = _contraction(self.gamma, self.rho, self.c1_hat)
-        if self.delta_n < 0.0:
-            raise ConfigurationError("delta_n must be nonnegative")
+        if not self.delta_n >= 0.0:
+            raise ConfigurationError(f"delta_n must be nonnegative, got {self.delta_n}")
         if not (_close(self.a, a) and _close(self.kappa, kappa) and _close(self.c2, c2)):
             raise ConfigurationError(
                 "TheoryConstants fields are not the values implied by their inputs"
@@ -58,10 +58,11 @@ class TheoryConstants:
 
 def _contraction(gamma, rho, c1_hat):
     """``(a, kappa, c2)`` with a = gamma/(7 + 3(gamma+3)^2), from checked inputs."""
-    if gamma <= 0.0 or rho <= 0.0:
-        raise ConfigurationError("gamma and rho must be positive")
-    if c1_hat < 0.0:
-        raise ConfigurationError("c1_hat must be nonnegative")
+    for name, value in (("gamma", gamma), ("rho", rho)):
+        if not value > 0.0:  # not <= 0: NaN is rejected by name too
+            raise ConfigurationError(f"{name} must be positive, got {value}")
+    if not c1_hat >= 0.0:
+        raise ConfigurationError(f"c1_hat must be nonnegative, got {c1_hat}")
     a = gamma / (7.0 + 3.0 * (gamma + 3.0) ** 2)
     kappa = a / (3.0 * max(1.0, 1.0 / rho) + 6.0 * a)
     return a, kappa, (1.0 / kappa) * (9.0 + 1.0 / a) * c1_hat

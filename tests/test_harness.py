@@ -401,6 +401,16 @@ class TestCli:
         assert result.returncode == 2
         assert "junk" in result.stderr
 
+    def test_nan_constant_exit_2_naming_it(self, tmp_path):
+        # Python's JSON reader accepts NaN, and the schema lets it through
+        config_path = tmp_path / "c.json"
+        config_path.write_text('{"kind": "constants", "gamma": 1.0, "rho": NaN}')
+        result = run_cli("constants", "--config", str(config_path), "--out",
+                         str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "rho must be positive" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_missing_config_file_exit_2(self, tmp_path):
         config_path = tmp_path / "nope.json"
         result = run_cli("constants", "--config", str(config_path), "--out",

@@ -367,7 +367,8 @@ def test_torus_positions_stay_canonical(torus_model):
 
 
 # Reference pair sums: the hand-written closures the Gaussian and torus
-# models were first defined with.  The models must reproduce them exactly.
+# models were first defined with.  The Gaussian model and the torus pair
+# model below must reproduce them exactly.
 
 
 def _reference_gauss(big_l, s, r):
@@ -430,6 +431,20 @@ def _reference_torus(a, b, space):
     return force, force_all, energy
 
 
+def _torus_pair_model(a, b, d):
+    # the torus model's kernels through the generic pair kernel: a periodic
+    # case of pairwise_model (torus_trig_model itself uses the addition identity)
+    space = Space("torus", d)
+    two_pi = 2.0 * np.pi
+    return m.pairwise_model(
+        space,
+        grad_v=lambda x: -two_pi * a * np.sin(two_pi * x),
+        grad_w=lambda x, y: -two_pi * b * np.sin(two_pi * space.min_image(x - y)),
+        v=lambda x: np.sum(a * np.cos(two_pi * x), axis=-1),
+        w=lambda x, y: np.sum(b * np.cos(two_pi * space.min_image(x - y)), axis=-1),
+    )
+
+
 @pytest.mark.parametrize("variant, d", [("gauss", 1), ("gauss", 2), ("torus", 2)])
 def test_pair_models_match_reference_sums(variant, d):
     rng = m.RngStream(41 + d)
@@ -438,7 +453,7 @@ def test_pair_models_match_reference_sums(variant, d):
         force, force_all, energy = _reference_gauss(0.9, 0.15, 1.3)
         x = rng.normal_matrix((4, 7, d))
     else:
-        model = m.torus_trig_model(0.3, -0.2, d=d)
+        model = _torus_pair_model(0.3, -0.2, d)
         force, force_all, energy = _reference_torus(0.3, -0.2, model.space)
         x = rng.uniforms(4 * 7 * d).reshape(4, 7, d)
     # batched force over a leading axis of four systems
@@ -485,7 +500,7 @@ def test_blocked_pair_forces_match_reference_bitwise(variant, shape, rows_per_bl
         force, force_all, _ = _reference_gauss(0.9, 0.15, 1.3)
         x = rng.normal_matrix(shape)
     else:
-        model = m.torus_trig_model(0.3, 0.2, d=d)
+        model = _torus_pair_model(0.3, 0.2, d)
         force, force_all, _ = _reference_torus(0.3, 0.2, model.space)
         x = rng.uniforms(math.prod(shape)).reshape(shape)
     assert _same_bytes(model.force_all(x), force_all(x))
@@ -496,10 +511,39 @@ def test_blocked_pair_forces_match_reference_bitwise(variant, shape, rows_per_bl
 
 def test_blocked_torus_force_keeps_signed_zeros():
     # all particles at 0: every pair term and the confinement are -0.0
-    model = m.torus_trig_model(0.3, 0.2, d=2)
+    model = _torus_pair_model(0.3, 0.2, 2)
     _, force_all, _ = _reference_torus(0.3, 0.2, model.space)
     x = np.zeros((3, 5, 2))
     assert _same_bytes(model.force_all(x), force_all(x))
+
+
+# (N, d) with a batch axis of two systems; N = 1024 stays at d = 1 to keep
+# the reference's (2, N, N, d) pair arrays at 16 MiB
+_TORUS_IDENTITY_CASES = [(1, 1), (1, 3), (2, 2), (7, 2), (64, 3), (333, 2), (1024, 1)]
+
+
+@pytest.mark.parametrize("b", [0.45, -0.45])
+@pytest.mark.parametrize("n, d", _TORUS_IDENTITY_CASES)
+def test_torus_identity_matches_pair_sums(n, d, b):
+    # the addition identity reorders the pair sums, so it agrees with them to
+    # rounding: forces within a few ulps of their bound 2 pi (|a| + |b|), the
+    # energy within a few ulps of the sum of its terms' magnitudes (the energy
+    # itself can cancel to near zero)
+    a = 0.3
+    model = m.torus_trig_model(a, b, d=d)
+    force, force_all, energy = _reference_torus(a, b, model.space)
+    rng = m.RngStream(1000 * n + 10 * d + (b > 0))
+    x = rng.uniforms(2 * n * d).reshape(2, n, d)
+    eps = np.finfo(float).eps
+    force_tol = 8.0 * eps * 2.0 * math.pi * (abs(a) + abs(b))
+    assert np.max(np.abs(model.force_all(x) - force_all(x))) <= force_tol
+    for row in x[0, :3]:
+        assert np.max(np.abs(model.force(x[0], row) - force(x[0], row))) <= force_tol
+    delta = model.space.min_image(x[:, :, None, :] - x[:, None, :, :])
+    magnitude = np.mean(np.sum(np.abs(a * np.cos(2.0 * np.pi * x)), axis=-1), axis=-1) + (
+        np.mean(np.sum(np.abs(b * np.cos(2.0 * np.pi * delta)), axis=-1), axis=(-2, -1)) / 2.0
+    )
+    assert np.all(np.abs(model.energy(x) - energy(x)) <= 8.0 * eps * magnitude)
 
 
 def _mod_min_image(delta):
@@ -539,6 +583,22 @@ def test_pair_force_memory_is_blocked():
         tracemalloc.stop()
     # one-shot (N, N, d) pair arrays peak at about 224 MB here
     assert peak < 32 * 2 ** 20
+
+
+def test_torus_force_memory_is_linear():
+    import tracemalloc
+
+    n, d = 4096, 2
+    model = m.torus_trig_model(0.3, 0.2, d=d)
+    x = m.RngStream(9).uniforms(n * d).reshape(n, d)
+    tracemalloc.start()
+    try:
+        model.force_all(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # O(N d): a few (N, d) temporaries, far under one 1 MiB pair block
+    assert peak <= 8 * n * d * 8
 
 
 def test_pair_energy_memory_is_blocked():

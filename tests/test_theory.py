@@ -42,13 +42,15 @@ class TestContractionConstants:
     @pytest.mark.parametrize("field, value", [
         ("gamma", 0.0), ("gamma", -1.0), ("rho", 0.0), ("rho", -1.0),
         ("c1_hat", -1.0), ("delta_n", -1.0),
+        ("gamma", math.nan), ("rho", math.nan), ("c1_hat", math.nan), ("delta_n", math.nan),
     ])
     def test_invalid_inputs_rejected(self, field, value):
+        # the error names the input, NaN included
         inputs = {"gamma": 1.0, "rho": 1.0, "c1_hat": 1.0, "delta_n": 0.5}
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             m.contraction_constants(**{**inputs, field: value})
         tc = m.contraction_constants(**inputs)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             dataclasses.replace(tc, **{field: value})
 
     def test_monotone_in_gamma(self):

@@ -34,17 +34,6 @@ from .theory import (
     lyapunov_constants,
 )
 
-EXPERIMENT_KINDS = (
-    "sample",
-    "sweep_h",
-    "sweep_N",
-    "converge",
-    "lyapunov_check",
-    "oracle",
-    "constants",
-    "risk",
-)
-
 # bounded observables by id: f maps positions (N, d) -> (N,), with sup norm
 OBSERVABLES = {
     "x2_clip25": (lambda x: np.clip(np.sum(x * x, axis=-1), 0.0, 25.0), 25.0),
@@ -55,100 +44,29 @@ OBSERVABLES = {
 # header of the one-row-per-parameter tables (sweeps, Euclidean drift slopes)
 _TABLE_HEADER = ("parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass")
 
-_NUM = {"type": "number"}
-_NONNEG = {"type": "number", "minimum": 0}
-_POS_INT = {"type": "integer", "minimum": 1}
-
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(EXPERIMENT_KINDS)},
-        "out_dir": {"type": "string"},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["variant"],
-            "properties": {
-                "variant": {"type": "string"},
-                "r": _NUM, "s": _NUM, "L": _NUM, "a": _NUM, "b": _NUM,
-                "d": _POS_INT, "ridge_r": _NUM,
-                "xs": {"type": "array", "items": {"type": "array", "items": _NUM}},
-                "ys": {"type": "array", "items": _NUM},
-            },
-        },
-        "n_particles": _POS_INT,
-        "chain": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "h": _NUM,
-                "gamma": _NUM,
-                "n_steps": {"type": "integer", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "init": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["point", "gaussian", "uniform"]},
-                "at": {"type": ["number", "array"], "items": _NUM},
-                "mean": {"type": ["number", "array"], "items": _NUM},
-                "std": _NONNEG,
-                "wrap": {"type": "boolean"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"lo": _NUM, "hi": _NUM, "n_cells": _POS_INT},
-            "required": ["lo", "hi", "n_cells"],
-        },
-        "observable": {"enum": sorted(OBSERVABLES)},
-        "stride": _POS_INT,
-        "burn_in": {"type": "number", "minimum": 0.0, "maximum": 0.9},
-        "h_grid": {"type": "array", "items": _NUM, "minItems": 1},
-        "n_grid": {"type": "array", "items": _POS_INT, "minItems": 1},
-        "reps": _POS_INT,
-        "n_bins": _POS_INT,
-        "n_states": _POS_INT,
-        "m_draws": _POS_INT,
-        "state_scales": {"type": "array", "items": _NONNEG, "minItems": 1},
-        "slope_gate": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        "damping": _NUM,
-        "tol": _NUM,
-        "max_iter": _POS_INT,
-        "oracle_mean": _NUM,
-        "gamma": _NUM,
-        "rho": _NUM,
-        "c1_hat": _NUM,
-        "delta_n": _NUM,
-        "lsi": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rho_bar": _NUM, "mmm": _NUM, "eps": _NUM,
-                "lambda_flat": _NUM, "alpha_n": _NUM,
-                "alpha_n_prime": _NUM, "lambda_prime": _NUM, "rho_n": _NUM,
-            },
-            "required": ["rho_bar", "mmm"],
-        },
-        "d": _POS_INT,
-    },
-}
-
-_VALIDATOR = Draft202012Validator(_SCHEMA)
-
 
 def validate_config(config):
-    """Strict-schema validation; raises with the offending field path."""
+    """Strict-schema validation, then no NaN or infinite number anywhere;
+    raises with the offending field path."""
     errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
         raise ConfigurationError(f"config invalid at {first.json_path}: {first.message}")
+    _require_finite(config, "$")
     return config
+
+
+def _require_finite(value, path):
+    """Python's JSON reader accepts NaN and Infinity, and the schema's number
+    checks let them through."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"config invalid at {path}: not a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
 
 
 def _read_json(path, error, what):
@@ -168,14 +86,6 @@ def _read_json(path, error, what):
 
 def load_config(path):
     return validate_config(_read_json(path, ConfigurationError, "config"))
-
-
-def _require(config, *names):
-    missing = [n for n in names if n not in config]
-    if missing:
-        raise ConfigurationError(
-            f"config kind {config.get('kind')!r} requires field(s): {', '.join(missing)}"
-        )
 
 
 def _fmt(value):
@@ -274,31 +184,28 @@ def resolve_threads(explicit=None):
         raise ConfigurationError(f"MFKL_THREADS must be an integer, got {env!r}") from None
 
 
-def decaying_segment(tv_series, floor, head=0.85, tail_factor=2.5):
-    """Index range of the geometric decay: drop the saturated head (TV near
-    its maximum of 1) and the statistical noise floor at the tail."""
+def decaying_segment(tv_series, floor):
+    """Index range of the geometric decay: drop the saturated head (TV at or
+    above 0.85, near its maximum of 1) and the tail that has reached the
+    statistical noise floor (TV below 2.5 x ``floor``)."""
     tv_series = np.asarray(tv_series)
-    below_head = tv_series < head
+    below_head = tv_series < 0.85
     start = int(np.argmax(below_head)) if below_head.any() else 0
-    below_floor = tv_series < tail_factor * max(floor, 1e-12)
+    below_floor = tv_series < 2.5 * max(floor, 1e-12)
     end = int(np.argmax(below_floor)) if below_floor.any() else len(tv_series)
     if end - start < 10:
         start, end = 0, len(tv_series)
     return start, end
 
 
-def _write_summary(out_dir, summary, config):
-    write_json(os.path.join(out_dir, "summary.json"), {**summary, "config": config})
-    return summary
-
-
 # ---------------------------------------------------------------------------
 # experiment drivers (one per kind); each takes (config, out_dir, threads),
-# where threads sizes the worker pool of the replica kinds
+# where threads sizes the worker pool of the replica kinds.  A driver whose
+# kind has a JSON result file returns that file's payload, which
+# run_experiment writes with the config.
 
 
 def _run_sample(config, out_dir, threads):
-    _require(config, "model", "n_particles", "chain", "init")
     model = make_builtin_model(config["model"])
     params = _chain_params(config)
     rng = RngStream(params.master_seed)
@@ -325,7 +232,6 @@ def _run_sample(config, out_dir, threads):
 
 
 def _run_sweep_h(config, out_dir, threads):
-    _require(config, "model", "n_particles", "chain", "init", "h_grid", "observable")
     h_grid = _sweep_grid(config, "h_grid")
     stride = config.get("stride", 10)
     n_steps = config["chain"].get("n_steps", 0)
@@ -363,18 +269,17 @@ def _run_sweep_h(config, out_dir, threads):
     write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
     hs = np.asarray(h_grid, dtype=float)
     slope = float(np.polyfit(np.log(hs), np.log(np.maximum(biases, 1e-300)), 1)[0])
-    return _write_summary(out_dir, {
+    return {
         "experiment": "sweep_h",
         "observable": obs_id,
         "oracle_value": oracle_value,
         "slope": slope,
         "gate": [gate_lo, gate_hi],
         "pass": bool(gate_lo <= slope <= gate_hi),
-    }, config)
+    }
 
 
 def _run_sweep_n(config, out_dir, threads):
-    _require(config, "model", "chain", "init", "n_grid", "reps", "observable", "oracle_mean")
     n_grid = _sweep_grid(config, "n_grid")
     model = make_builtin_model(config["model"])
     obs_id, f = _bounded_observable(config)
@@ -392,16 +297,15 @@ def _run_sweep_n(config, out_dir, threads):
     decreasing = all(
         estimates[i].value > estimates[i + 1].value for i in range(len(estimates) - 1)
     )
-    return _write_summary(out_dir, {
+    return {
         "experiment": "sweep_N",
         "observable": obs_id,
         "risk_decreasing_in_N": decreasing,
         "pass": decreasing,
-    }, config)
+    }
 
 
 def _run_converge(config, out_dir, threads):
-    _require(config, "model", "n_particles", "chain", "init")
     model = make_builtin_model(config["model"])
     density = _oracle_density(config, model)
     params = _chain_params(config)
@@ -430,7 +334,7 @@ def _run_converge(config, out_dir, threads):
     rate_per_step = fit.rate ** (1.0 / stride)  # records are stride steps apart
     kappa = contraction_constants(params.gamma, config.get("rho", 1.0)).kappa
     gate = 1.0 / (1.0 + kappa * params.h) + 0.02
-    return _write_summary(out_dir, {
+    return {
         "experiment": "converge",
         "rate": rate_per_step,
         "r_squared": fit.r_squared,
@@ -438,7 +342,7 @@ def _run_converge(config, out_dir, threads):
         "tv_floor": floor,
         "rate_gate": gate,
         "pass": bool(rate_per_step <= gate and fit.r_squared > 0.9),
-    }, config)
+    }
 
 
 def _random_states(model, n_particles, scales, n_states, rng):
@@ -454,7 +358,6 @@ def _random_states(model, n_particles, scales, n_states, rng):
 
 
 def _run_lyapunov_check(config, out_dir, threads):
-    _require(config, "model", "n_particles", "chain", "h_grid")
     model = make_builtin_model(config["model"])
     per_h = [_chain_params(config, h_override=h) for h in config["h_grid"]]
     gamma, seed = per_h[0].gamma, per_h[0].master_seed
@@ -497,14 +400,13 @@ def _run_lyapunov_check(config, out_dir, threads):
         header = _TABLE_HEADER
         mode = "euclidean_slope"
     write_csv(os.path.join(out_dir, "drift.csv"), header, rows)
-    return _write_summary(out_dir, {
+    return {
         "experiment": "lyapunov_check", "mode": mode, "failures": failures,
         "pass": not failures,
-    }, config)
+    }
 
 
 def _run_oracle(config, out_dir, threads):
-    _require(config, "model")
     model = make_builtin_model(config["model"])
     density = _oracle_density(config, model)
     rows = list(zip(density.centers, density.values))
@@ -513,7 +415,6 @@ def _run_oracle(config, out_dir, threads):
 
 
 def _run_constants(config, out_dir, threads):
-    _require(config, "gamma", "rho")
     payload = asdict(contraction_constants(
         config["gamma"], config["rho"],
         c1_hat=config.get("c1_hat", 0.0), delta_n=config.get("delta_n", 0.0),
@@ -529,12 +430,10 @@ def _run_constants(config, out_dir, threads):
         payload["lyapunov"] = asdict(lyapunov_constants(
             model.space, config["gamma"], model.coeffs, config.get("n_particles", 1)
         ))
-    write_json(os.path.join(out_dir, "constants.json"), {**payload, "config": config})
     return payload
 
 
 def _run_risk(config, out_dir, threads):
-    _require(config, "model", "n_particles", "chain", "init", "reps", "observable")
     model = make_builtin_model(config["model"])
     obs_id, f = _bounded_observable(config)
     oracle_value = _oracle_value(config, model, f)
@@ -543,52 +442,155 @@ def _run_risk(config, out_dir, threads):
         model, f, params, config["n_particles"], config["reps"],
         oracle_value, config["init"], f_id=obs_id, threads=threads,
     )
-    payload = {
+    return {
         "value": estimate.value,
         "std_err": estimate.std_err,
         "reps": estimate.reps,
         "oracle_mean": oracle_value,
-        "config": config,
     }
-    write_json(os.path.join(out_dir, "risk.json"), payload)
-    return payload
 
 
-_DRIVERS = {
-    "sample": _run_sample,
-    "sweep_h": _run_sweep_h,
-    "sweep_N": _run_sweep_n,
-    "converge": _run_converge,
-    "lyapunov_check": _run_lyapunov_check,
-    "oracle": _run_oracle,
-    "constants": _run_constants,
-    "risk": _run_risk,
+# fields of every kind that runs chains from an initial law
+_CHAIN_FIELDS = ("model", "n_particles", "chain", "init")
+
+# kind -> (driver, required config fields, result file).  The result file is
+# written last, so a directory without it holds a run that did not finish.
+_KINDS = {
+    "sample": (_run_sample, _CHAIN_FIELDS, "final_state.csv"),
+    "sweep_h": (_run_sweep_h, (*_CHAIN_FIELDS, "h_grid", "observable"), "summary.json"),
+    "sweep_N": (_run_sweep_n,
+                ("model", "chain", "init", "n_grid", "reps", "observable", "oracle_mean"),
+                "summary.json"),
+    "converge": (_run_converge, _CHAIN_FIELDS, "summary.json"),
+    "lyapunov_check": (_run_lyapunov_check, ("model", "n_particles", "chain", "h_grid"),
+                       "summary.json"),
+    "oracle": (_run_oracle, ("model",), "density.csv"),
+    "constants": (_run_constants, ("gamma", "rho"), "constants.json"),
+    "risk": (_run_risk, (*_CHAIN_FIELDS, "reps", "observable"), "risk.json"),
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+_NUM = {"type": "number"}
+_NONNEG = {"type": "number", "minimum": 0}
+_POS_INT = {"type": "integer", "minimum": 1}
+
+_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["kind"],
+    "properties": {
+        "kind": {"enum": list(EXPERIMENT_KINDS)},
+        "out_dir": {"type": "string"},
+        "model": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["variant"],
+            "properties": {
+                "variant": {"type": "string"},
+                "r": _NUM, "s": _NUM, "L": _NUM, "a": _NUM, "b": _NUM,
+                "d": _POS_INT, "ridge_r": _NUM,
+                "xs": {"type": "array", "items": {"type": "array", "items": _NUM}},
+                "ys": {"type": "array", "items": _NUM},
+            },
+        },
+        "n_particles": _POS_INT,
+        "chain": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "h": _NUM,
+                "gamma": _NUM,
+                "n_steps": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0},
+            },
+        },
+        "init": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["point", "gaussian", "uniform"]},
+                "at": {"type": ["number", "array"], "items": _NUM},
+                "mean": {"type": ["number", "array"], "items": _NUM},
+                "std": _NONNEG,
+                "wrap": {"type": "boolean"},
+            },
+        },
+        "grid": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"lo": _NUM, "hi": _NUM, "n_cells": _POS_INT},
+            "required": ["lo", "hi", "n_cells"],
+        },
+        "observable": {"enum": sorted(OBSERVABLES)},
+        "stride": _POS_INT,
+        "burn_in": {"type": "number", "minimum": 0.0, "maximum": 0.9},
+        "h_grid": {"type": "array", "items": _NUM, "minItems": 1},
+        "n_grid": {"type": "array", "items": _POS_INT, "minItems": 1},
+        "reps": _POS_INT,
+        "n_bins": _POS_INT,
+        "n_states": _POS_INT,
+        "m_draws": _POS_INT,
+        "state_scales": {"type": "array", "items": _NONNEG, "minItems": 1},
+        "slope_gate": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
+        "damping": _NUM,
+        "tol": _NUM,
+        "max_iter": _POS_INT,
+        "oracle_mean": _NUM,
+        "gamma": _NUM,
+        "rho": _NUM,
+        "c1_hat": _NUM,
+        "delta_n": _NUM,
+        "lsi": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "rho_bar": _NUM, "mmm": _NUM, "eps": _NUM,
+                "lambda_flat": _NUM, "alpha_n": _NUM,
+                "alpha_n_prime": _NUM, "lambda_prime": _NUM, "rho_n": _NUM,
+            },
+            "required": ["rho_bar", "mmm"],
+        },
+        "d": _POS_INT,
+    },
+}
+
+_VALIDATOR = Draft202012Validator(_SCHEMA)
 
 
 def run_experiment(config, out_dir=None, seed=None, threads=None):
     """Run one experiment described by a validated config mapping.
 
     ``seed`` overrides the config seed; outputs land in ``out_dir`` (or the
-    config's ``out_dir``).  Returns the summary payload of the experiment.
+    config's ``out_dir``).  Returns the summary payload of the experiment;
+    a kind with a JSON result file writes that payload there with the config.
     """
     config = validate_config(dict(config))
     if seed is not None:
         config["chain"] = {**config.get("chain", {}), "seed": int(seed)}
+    driver, required, result_file = _KINDS[config["kind"]]
+    missing = [name for name in required if name not in config]
+    if missing:
+        raise ConfigurationError(
+            f"config kind {config['kind']!r} requires field(s): {', '.join(missing)}"
+        )
     out_dir = out_dir or config.get("out_dir")
     if not out_dir:
         raise ConfigurationError("no output directory given (config out_dir or --out)")
     os.makedirs(out_dir, exist_ok=True)
     threads = resolve_threads(threads)
     write_json(os.path.join(out_dir, "config.json"), config)
-    return _DRIVERS[config["kind"]](config, out_dir, threads)
+    payload = driver(config, out_dir, threads)
+    if result_file.endswith(".json"):
+        write_json(os.path.join(out_dir, result_file), {**payload, "config": config})
+    return payload
 
 
 def emit_report(results_dir):
     """Summarize an experiment directory: pass/fail text plus a file index.
 
     Returns the report text.  Raises :class:`MissingArtifactError` when the
-    directory lacks the experiment outputs.
+    directory lacks its kind's result file, or its config names no known kind.
     """
     if not os.path.isdir(results_dir):
         raise MissingArtifactError(f"no results directory {results_dir!r}")
@@ -602,11 +604,21 @@ def emit_report(results_dir):
     config = _read_json(
         os.path.join(results_dir, "config.json"), MissingArtifactError, "result file"
     )
-    kind = config.get("kind", "?")
+    kind = config.get("kind")
+    if kind not in EXPERIMENT_KINDS:
+        raise MissingArtifactError(
+            f"{results_dir!r} config.json names no known experiment kind: {kind!r}"
+        )
+    result_file = _KINDS[kind][2]
+    if result_file not in files:
+        raise MissingArtifactError(
+            f"{results_dir!r} lacks {result_file}; the {kind} run did not finish"
+        )
     lines = [f"experiment: {kind}"]
-    summary_path = os.path.join(results_dir, "summary.json")
-    if os.path.exists(summary_path):
-        summary = _read_json(summary_path, MissingArtifactError, "result file")
+    if result_file == "summary.json":
+        summary = _read_json(
+            os.path.join(results_dir, result_file), MissingArtifactError, "result file"
+        )
         verdict = summary.get("pass")
         if verdict is not None:
             lines.append("PASS" if verdict else "FAIL")
@@ -617,10 +629,6 @@ def emit_report(results_dir):
             if key in summary:
                 lines.append(f"  {key} = {summary[key]}")
     else:
-        expected = {"constants": "constants.json", "risk": "risk.json",
-                    "oracle": "density.csv", "sample": "trajectory.csv"}.get(kind)
-        if expected and expected not in files:
-            raise MissingArtifactError(f"{results_dir!r} lacks {expected}")
         lines.append("OK (no gates declared)")
     report_text = "\n".join(lines) + "\n"
     with open(os.path.join(results_dir, "report.txt"), "w", encoding="utf-8") as fh:

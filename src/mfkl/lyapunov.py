@@ -118,33 +118,26 @@ def kernel_values_monte_carlo(model, state, params, spec, m_draws, rng):
     return _values_batched(spec, x_new, v_new)
 
 
-def estimate_kernel_drift(
-    model, state, params, spec, m_draws=10_000, rng=None, c_euclidean=None
-):
-    """One-step drift check at ``state``: is P V <= contraction + additive?
+def estimate_kernel_drift(model, state, params, spec, m_draws=10_000, rng=None):
+    """One-step drift check at ``state``: is P V <= (1 - gamma h) V + N h C?
 
-    On the torus the additive constant is fully explicit.  On R^d the
-    constant multiplying ``N h d^3`` is not; it must be supplied as
-    ``c_euclidean`` (otherwise use :func:`drift_slope_regression`, which
-    tests the explicit slope only).
+    The additive constant C is explicit only on the torus; on R^d use
+    :func:`drift_slope_regression`, which tests the explicit slope only.
     """
+    if spec.kind != VELOCITY_SIXTH:
+        raise CapabilityError(
+            "the Euclidean additive drift constant is not explicit; "
+            "use drift_slope_regression"
+        )
     if rng is None:
         rng = RngStream(params.master_seed)
     current = lyapunov_value(spec, state)
     values = kernel_values_monte_carlo(model, state, params, spec, m_draws, rng)
     pv = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(m_draws))
-    n, d = state.positions.shape
+    n = state.positions.shape[0]
     consts = lyapunov_constants(state.space, params.gamma, model.coeffs, n)
-    if spec.kind == VELOCITY_SIXTH:
-        rhs = (1.0 - params.gamma * params.h) * current + n * params.h * consts.torus_additive
-    else:
-        if c_euclidean is None:
-            raise CapabilityError(
-                "the Euclidean additive drift constant is not explicit; pass "
-                "c_euclidean or use drift_slope_regression"
-            )
-        rhs = (1.0 - consts.theta * params.h) * current + c_euclidean * n * params.h * d ** 3
+    rhs = (1.0 - params.gamma * params.h) * current + n * params.h * consts.torus_additive
     holds = pv - 3.0 * se <= rhs
     margin = (rhs - pv) / se if se > 0.0 else math.inf
     return DriftReport(

@@ -47,11 +47,10 @@ class GridSpec:
         return self.lo + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-def default_grid_for_quadratic(r, half_width_sigmas=8.0, n_cells=2001):
-    """Grid spanning +-8 standard deviations of the non-interacting Gaussian."""
-    sigma = 1.0 / math.sqrt(r)
-    half = half_width_sigmas * sigma
-    return GridSpec(-half, half, n_cells)
+def default_grid_for_quadratic(r):
+    """2001 cells spanning +-8 standard deviations of the non-interacting Gaussian."""
+    half = 8.0 / math.sqrt(r)
+    return GridSpec(-half, half, 2001)
 
 
 TORUS_GRID = GridSpec(0.0, 1.0, 1024)
@@ -125,9 +124,7 @@ def density_total_variation(a, b):
     return 0.5 * float(np.sum(np.abs(a.values - b.values)) * a.dx)
 
 
-def self_consistent_fixed_point(
-    model, grid, damping=0.5, tol=1e-10, max_iter=500, initial=None
-):
+def self_consistent_fixed_point(model, grid, damping=0.5, tol=1e-10, max_iter=500):
     """Damped Picard iteration for the stationary self-consistent density.
 
     Iterates ``mu <- (1-beta) mu + beta normalize(exp(-U_mu))`` starting from
@@ -143,9 +140,7 @@ def self_consistent_fixed_point(
         raise ConfigurationError("damping must lie in (0, 1]")
     centers = grid.centers
 
-    if initial is not None:
-        density = initial
-    elif model.external_potential is not None:
+    if model.external_potential is not None:
         v = np.asarray(model.external_potential(centers[:, None]), dtype=float)
         density = GridDensity.from_unnormalized(grid, np.exp(-(v - v.min())))
     else:
@@ -197,9 +192,10 @@ class GibbsTables:
 
 
 _CELL_BUDGET = 10 ** 8
+_CHUNK = 65536  # tensor-grid points per energy call
 
 
-def small_n_gibbs(model, n_particles, grid, chunk=65536):
+def small_n_gibbs(model, n_particles, grid):
     """Tabulate the N-particle Gibbs measure for N <= 3 in one dimension.
 
     The potential is evaluated on the full tensor grid, exponentiated, and
@@ -222,9 +218,9 @@ def small_n_gibbs(model, n_particles, grid, chunk=65536):
     points = np.stack([m.reshape(-1) for m in meshes], axis=-1)[..., None]
 
     potential = np.empty(total_cells)
-    for start in range(0, total_cells, chunk):
-        block = points[start : start + chunk]
-        potential[start : start + chunk] = n_particles * model.energy(block)
+    for start in range(0, total_cells, _CHUNK):
+        block = points[start : start + _CHUNK]
+        potential[start : start + _CHUNK] = n_particles * model.energy(block)
 
     weights = np.exp(-(potential - potential.min()))
     joint = (weights / weights.sum()).reshape((grid.n_cells,) * n_particles)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 import mfkl as m
 from mfkl import ConfigurationError, MissingArtifactError
 from mfkl.harness import (
+    EXPERIMENT_KINDS,
+    _KINDS,
     _random_states,
     decaying_segment,
     emit_report,
@@ -408,7 +411,7 @@ class TestCli:
         result = run_cli("constants", "--config", str(config_path), "--out",
                          str(tmp_path / "out"))
         assert result.returncode == 2
-        assert "rho must be positive" in result.stderr
+        assert "$.rho" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_missing_config_file_exit_2(self, tmp_path):
@@ -677,5 +680,69 @@ def test_unread_or_negative_config_field_exit_2(tmp_path, kind, entries, needle)
                      "--out", str(out))
     assert result.returncode == 2
     assert needle in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+_KIND_CONFIGS = {
+    **_REPLICA_CONFIGS,
+    "sample": _FLAT_CONVEX_SAMPLE,
+    "lyapunov_check": _LYAPUNOV_CONFIG,
+    "oracle": {"kind": "oracle", "model": _QUAD,
+               "grid": {"lo": -6.0, "hi": 6.0, "n_cells": 201}},
+    "constants": {"kind": "constants", "gamma": 1.0, "rho": 1.0},
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_each_kind_leaves_its_result_file_and_reports(tmp_path, kind):
+    run_experiment(_KIND_CONFIGS[kind], out_dir=str(tmp_path))
+    assert (tmp_path / _KINDS[kind][2]).is_file()
+    assert emit_report(str(tmp_path)).startswith(f"experiment: {kind}\n")
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_report_on_unfinished_run_exit_5_naming_result_file(tmp_path, kind):
+    # what a run that died in its driver leaves: config.json and nothing else
+    write_json(tmp_path / "config.json", _KIND_CONFIGS[kind])
+    result = run_cli("report", "--out", str(tmp_path))
+    assert result.returncode == 5
+    assert _KINDS[kind][2] in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("config", [{"kind": "nope"}, {}])
+def test_report_on_unknown_kind_exit_5(tmp_path, config):
+    write_json(tmp_path / "config.json", config)
+    write_json(tmp_path / "summary.json", {"pass": True})
+    result = run_cli("report", "--out", str(tmp_path))
+    assert result.returncode == 5
+    assert "no known experiment kind" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_missing_required_field_exit_2_before_any_output(tmp_path):
+    config = {k: v for k, v in _REPLICA_CONFIGS["risk"].items() if k != "reps"}
+    out = tmp_path / "out"
+    result = run_cli("risk", "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 2
+    assert "requires field(s): reps" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, entries, path", [
+    ("risk", {"oracle_mean": math.nan}, "$.oracle_mean"),
+    ("risk", {"oracle_mean": -math.inf}, "$.oracle_mean"),
+    ("sweep_h", {"slope_gate": [math.nan, 2.5]}, "$.slope_gate[0]"),
+    ("constants", {"lsi": {"rho_bar": 1, "mmm": 0.1, "alpha_n": math.nan}}, "$.lsi.alpha_n"),
+    ("sweep_h", {"burn_in": math.nan}, "$.burn_in"),
+    ("lyapunov_check", {"state_scales": [math.nan]}, "$.state_scales[0]"),
+])
+def test_non_finite_config_number_exit_2_naming_it(tmp_path, kind, entries, path):
+    out = tmp_path / "out"
+    config = {**_KIND_CONFIGS[kind], **entries}
+    result = run_cli(kind, "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 2
+    assert f"config invalid at {path}: not a finite number" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()

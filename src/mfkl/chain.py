@@ -20,7 +20,7 @@ from .errors import (
     ObserverError,
     StepSizeWarning,
 )
-from .model import ParticleState, potential_gradient, readonly_state
+from .model import ParticleState, _first_non_finite, potential_gradient, readonly_state
 from .rng import RngStream, derive_seed
 
 
@@ -173,10 +173,10 @@ def run_chain(model, init, params, observers=(), rng=None):
             x, v, gradient = _verlet(model, space, x, v, h, gradient)
         except NumericalDomainError as err:
             raise NumericalDomainError(f"step {step}: {err}") from err
-        if not np.isfinite(v).all():
-            raise NumericalDomainError(f"step {step}: non-finite velocities")
-        if not np.isfinite(x).all():
-            raise NumericalDomainError(f"step {step}: non-finite positions")
+        bad = _first_non_finite(v, x)
+        if bad is not None:
+            name = ("velocities", "positions")[bad[0]]
+            raise NumericalDomainError(f"step {step}: non-finite {name}")
         if observers:
             # x and v are fresh arrays of the validated shape, already
             # wrapped and finite: no ParticleState validation is needed

@@ -23,15 +23,41 @@ EUCLIDEAN = "euclidean"
 TORUS = "torus"
 
 
-def ordered_sum(values, axis):
-    """Sum along ``axis`` in ascending value order (permutation-invariant)."""
-    return np.sum(np.sort(values, axis=axis), axis=axis)
+def ordered_sum(values, axis, keepdims=False):
+    """Sum along ``axis`` in ascending value order (permutation-invariant).
+
+    ``np.add.reduce`` is the reduction ``np.sum`` dispatches to, so the bits
+    are those of ``np.sum`` without its wrapper's per-call cost.
+    """
+    return np.add.reduce(np.sort(values, axis=axis), axis=axis, keepdims=keepdims)
 
 
 def ordered_mean(values, axis, keepdims=False):
     """Mean along ``axis`` of the ascending-order sum (see :func:`ordered_sum`)."""
-    total = np.sum(np.sort(values, axis=axis), axis=axis, keepdims=keepdims)
-    return total / values.shape[axis]
+    return ordered_sum(values, axis, keepdims) / values.shape[axis]
+
+
+def _first_non_finite(*arrays):
+    """``(k, row)`` for the first of ``arrays`` holding a non-finite entry,
+    with ``row`` its first such row (index over the leading axes); None when
+    every entry is finite.  The arrays share one shape.
+
+    One sum screens them all: a finite ``np.add.reduce`` of their elementwise
+    sum means every entry is finite.  Only a non-finite sum (a non-finite
+    entry, or finite entries whose sum overflowed) runs the exact
+    ``np.isfinite`` pass, array by array.  Summing finite entries near the
+    float64 limit can overflow, with numpy's overflow warning.
+    """
+    screen = arrays[0]
+    for a in arrays[1:]:
+        screen = screen + a
+    if math.isfinite(np.add.reduce(screen, axis=None)):
+        return None
+    for k, a in enumerate(arrays):
+        bad = np.argwhere(~np.isfinite(a).all(axis=-1))
+        if len(bad):
+            return k, tuple(int(i) for i in bad[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -94,7 +120,9 @@ class ParticleState:
             raise ConfigurationError(
                 f"state dimension {d} does not match space dimension {self.space.d}"
             )
-        if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
+        with np.errstate(over="ignore", invalid="ignore"):  # a valid state never warns
+            bad = _first_non_finite(self.positions, self.velocities)
+        if bad is not None:
             raise NumericalDomainError("non-finite entries in particle state")
         if self.space.is_torus and (
             (self.positions < 0.0).any() or (self.positions >= 1.0).any()
@@ -224,10 +252,9 @@ def potential_gradient(model, positions):
         if positions.ndim != 2:
             raise CapabilityError("batched gradients need a model with force_all")
         grad = np.stack([model.force(positions, positions[i]) for i in range(positions.shape[0])])
-    if not np.isfinite(grad).all():
-        bad = np.argwhere(~np.isfinite(grad).all(axis=-1))
-        index = tuple(int(i) for i in bad[0])
-        raise NumericalDomainError(f"non-finite force at particle index {index}")
+    bad = _first_non_finite(grad)
+    if bad is not None:
+        raise NumericalDomainError(f"non-finite force at particle index {bad[1]}")
     return grad
 
 

@@ -118,8 +118,11 @@ class RngStream:
 
     def normals(self, n):
         """Next ``n`` standard normals (Box-Muller, with pair carry)."""
-        out = np.empty(n)
         pos = self._pos
+        if 0 <= n <= self._buf.size - pos:
+            self._pos = pos + n
+            return self._buf[pos:pos + n].copy()
+        out = np.empty(n)
         filled = min(n, self._buf.size - pos)
         out[:filled] = self._buf[pos:pos + filled]
         self._pos = pos + filled

@@ -265,6 +265,35 @@ class TestRunChain:
                                                       match="non-finite"):
             m.run_chain(model, init, params, observers, RngStream(3))
 
+    def test_finite_state_whose_sum_overflows_runs(self):
+        # the one-sum finiteness screen overflows to inf here; the exact
+        # np.isfinite pass behind it must clear the finite state
+        model = zero_force_model()
+        params = ChainParams(h=0.01, gamma=1.0, n_steps=5)
+        with np.errstate(over="ignore"):
+            init = ParticleState([[1e308], [1e308]], [[0.0], [0.0]], model.space)
+            final, _ = m.run_chain(model, init, params, [Observer(lambda s, st: s)],
+                                   RngStream(3))
+        assert np.array_equal(final.positions, init.positions)
+        assert np.isfinite(final.velocities).all()
+
+    def test_nan_force_names_particle(self):
+        calls = []
+
+        def force_all(positions):
+            calls.append(None)
+            out = np.zeros_like(positions)
+            if len(calls) > 2:  # step 1 evaluates two gradients
+                out[1] = np.nan
+            return out
+
+        model = m.MeanFieldModel(space=Space("euclidean", 1), force=None, force_all=force_all)
+        init = ParticleState(np.zeros((3, 1)), np.zeros((3, 1)), model.space)
+        params = ChainParams(h=0.1, gamma=1.0, n_steps=4)
+        with pytest.raises(m.NumericalDomainError,
+                           match=r"step 2: non-finite force at particle index \(1,\)"):
+            m.run_chain(model, init, params, [], RngStream(3))
+
     def test_gradient_cache_matches_naive_kernel(self, quad_interacting, torus_model):
         for model in (quad_interacting, torus_model):
             if model.space.is_torus:

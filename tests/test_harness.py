@@ -746,3 +746,18 @@ def test_non_finite_config_number_exit_2_naming_it(tmp_path, kind, entries, path
     assert f"config invalid at {path}: not a finite number" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, entries, message", [
+    ("lyapunov_check", {"chain": {"seed": 3}}, "config requires chain.h and chain.gamma"),
+    ("sweep_h", {"h_grid": [0.03, 0.03]}, "h_grid needs at least two distinct values"),
+    ("sweep_h", {"stride": 50, "burn_in": 0.9}, "no observer record falls after burn-in"),
+])
+def test_driver_config_error_exit_2_before_any_output(tmp_path, kind, entries, message):
+    out = tmp_path / "out"
+    config = {**_KIND_CONFIGS[kind], **entries}
+    result = run_cli(kind, "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

@@ -614,3 +614,21 @@ def test_pair_energy_memory_is_blocked():
         tracemalloc.stop()
     # one-shot (N, N, d) pair arrays peak at about 160 MiB here
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("axis", [-1, -2])
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_ordered_reductions_match_sum_of_sorted_bitwise(axis, keepdims, transposed):
+    from mfkl.model import ordered_mean, ordered_sum
+
+    # a leading batch axis of 3, mixed magnitudes, and long enough reduction
+    # axes for numpy's pairwise summation to matter
+    values = m.RngStream(8).normal_matrix((3, 150, 140)) * np.logspace(-8, 8, 140)
+    if transposed:
+        values = values.swapaxes(-1, -2)
+    want = np.sum(np.sort(values, axis=axis), axis=axis, keepdims=keepdims)
+    got = ordered_sum(values, axis, keepdims=keepdims)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    mean = ordered_mean(values, axis, keepdims=keepdims)
+    assert mean.tobytes() == (want / values.shape[axis]).tobytes()

@@ -142,3 +142,19 @@ def test_negative_normal_count_raises():
     with pytest.raises(ValueError):
         stream.normals(-1)
     assert np.array_equal(stream.normals(4), _ReferenceStream(11).normals(7)[3:])
+
+
+def test_writing_into_drawn_normals_leaves_later_draws_unchanged():
+    # 3: refill of the read-ahead block; 4: served from it; 505: the rest of
+    # the block; 1: refill again; 2000: straight into its own array
+    sizes = (3, 4, 505, 1, 2000, 2, 7)
+    stream, reference = RngStream(5), _ReferenceStream(5)
+    drawn = []
+    for n in sizes:
+        got = stream.normals(n)
+        assert got.flags.owndata and got.flags.writeable
+        assert got.tobytes() == reference.normals(n).tobytes(), n
+        drawn.append(got.copy())
+        got[...] = np.nan
+    # the split requests are one stream
+    assert np.concatenate(drawn).tobytes() == RngStream(5).normals(sum(sizes)).tobytes()

@@ -194,42 +194,49 @@ def _law_point(law, key, d):
         raise ConfigurationError(f"init.{key} must be a number or {d} numbers") from err
 
 
-def sample_initial(law, n_particles, space, rng):
-    """Draw an exchangeable initial state: iid positions, Gaussian velocities.
+def _initial_law(law, space):
+    """Parse an initial law on ``space``; returns ``draw(n_particles, rng)``.
 
     ``law`` is a mapping with ``kind`` one of ``point`` (field ``at``),
     ``gaussian`` (fields ``mean``, ``std``, optional ``wrap`` on the torus)
-    or ``uniform`` (torus only).  Positions are drawn first, then
-    velocities, both particle-major.
+    or ``uniform`` (torus only).  A malformed law raises here, before any
+    draw.  ``draw`` draws positions first, then velocities, both particle-major.
     """
-    if n_particles < 1:
-        raise ConfigurationError("need at least one particle")
-    kind = law.get("kind")
-    d = space.d
+    kind, d = law.get("kind"), space.d
     if kind == "point":
         point = _law_point(law, "at", d)
         if space.is_torus and ((point < 0.0).any() or (point >= 1.0).any()):
             raise ConfigurationError("point mass must lie in [0,1)^d on the torus")
-        positions = np.tile(point, (n_particles, 1))
     elif kind == "gaussian":
         if space.is_torus and not law.get("wrap", False):
-            raise ConfigurationError(
-                "gaussian initial positions on the torus need wrap=true"
-            )
-        mean = _law_point(law, "mean", d)
-        std = float(law.get("std", 1.0))
+            raise ConfigurationError("gaussian initial positions on the torus need wrap=true")
+        mean, std = _law_point(law, "mean", d), float(law.get("std", 1.0))
         if not std >= 0.0:
             raise ConfigurationError(f"init.std must be nonnegative, got {std}")
-        positions = mean + std * rng.normal_matrix((n_particles, d))
-        positions = space.wrap(positions)
     elif kind == "uniform":
         if not space.is_torus:
             raise ConfigurationError("uniform initial positions are torus-only")
-        positions = rng.uniforms(n_particles * d).reshape(n_particles, d)
     else:
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
-    velocities = rng.normal_matrix((n_particles, d))
-    return ParticleState(positions, velocities, space)
+
+    def draw(n, rng):
+        if n < 1:
+            raise ConfigurationError("need at least one particle")
+        if kind == "point":
+            positions = np.tile(point, (n, 1))
+        elif kind == "gaussian":
+            positions = space.wrap(mean + std * rng.normal_matrix((n, d)))
+        else:
+            positions = rng.uniforms(n * d).reshape(n, d)
+        return ParticleState(positions, rng.normal_matrix((n, d)), space)
+
+    return draw
+
+
+def sample_initial(law, n_particles, space, rng):
+    """Draw an exchangeable initial state from the law mapping ``law`` (kinds
+    as in :func:`_initial_law`): iid positions, then Gaussian velocities."""
+    return _initial_law(law, space)(n_particles, rng)
 
 
 def run_replicas(model, init_law, n_particles, params, reps, observe=None, stride=1,
@@ -242,10 +249,11 @@ def run_replicas(model, init_law, n_particles, params, reps, observe=None, strid
     Returns ``(final_state, records)`` per replica in replica order, so
     results do not depend on ``threads``, the size of the worker pool.
     """
+    draw = _initial_law(init_law, model.space)  # parsed once, for every replica
 
     def replica(k):
         rng = RngStream(derive_seed(params.master_seed, k))
-        init = sample_initial(init_law, n_particles, model.space, rng)
+        init = draw(n_particles, rng)
         observers = [Observer(observe, stride)] if observe is not None else []
         final, records = run_chain(model, init, params, observers, rng)
         return final, records[0] if records else []

@@ -15,9 +15,11 @@ from datetime import datetime, timezone
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from .chain import ChainParams, Observer, run_chain, run_replicas, sample_initial
+from .chain import ChainParams, Observer, _initial_law, run_chain, run_replicas, sample_initial
 from .errors import ConfigurationError, MissingArtifactError
-from .lyapunov import LyapunovSpec, drift_slope_regression, estimate_kernel_drift
+from .lyapunov import (
+    LyapunovSpec, _require_slope_states, drift_slope_regression, estimate_kernel_drift,
+)
 from .model import ParticleState, make_builtin_model
 from .oracle import (
     TORUS_GRID,
@@ -26,7 +28,10 @@ from .oracle import (
     self_consistent_fixed_point,
 )
 from .rng import RngStream, derive_seed
-from .risk import fit_geometric_rate, histogram_divergence, quadratic_risk
+from .risk import (
+    _require_rate_points, _require_replicas, fit_geometric_rate, histogram_divergence,
+    quadratic_risk,
+)
 from .theory import (
     LsiConstants,
     contraction_constants,
@@ -116,21 +121,11 @@ def write_json(path, payload):
 
 
 def _chain_params(config, h_override=None):
-    chain = dict(config.get("chain", {}))
+    chain = config.get("chain", {})
     h = h_override if h_override is not None else chain.get("h")
     if h is None or "gamma" not in chain:
         raise ConfigurationError("config requires chain.h and chain.gamma")
-    return ChainParams(
-        h=h,
-        gamma=chain["gamma"],
-        n_steps=chain.get("n_steps", 0),
-        master_seed=chain.get("seed", 0),
-    )
-
-
-def _per_h_params(config):
-    """Chain parameters at each step size of ``h_grid``."""
-    return [_chain_params(config, h_override=h) for h in config["h_grid"]]
+    return ChainParams(h, chain["gamma"], chain.get("n_steps", 0), chain.get("seed", 0))
 
 
 def _require_sweep_grid(config, name):
@@ -138,6 +133,7 @@ def _require_sweep_grid(config, name):
     grid = config[name]
     if len(set(grid)) < 2:
         raise ConfigurationError(f"{name} needs at least two distinct values, got {grid}")
+    return grid
 
 
 def _first_kept_step(config):
@@ -154,41 +150,38 @@ def _first_kept_step(config):
     return first_kept
 
 
-def _grid(config, model):
-    if "grid" in config:
-        return GridSpec(**config["grid"])
-    if model.space.is_torus:
-        return TORUS_GRID
-    return GridSpec(-8.0, 8.0, 2001)
-
-
 def _oracle_density(config, model):
-    result = self_consistent_fixed_point(
-        model,
-        _grid(config, model),
-        damping=config.get("damping", 0.5),
-        tol=config.get("tol", 1e-10),
-        max_iter=config.get("max_iter", 500),
-    )
-    return result.density
+    """``() -> density``: the grid is built now, the fixed point runs on call
+    (its non-convergence is a run failure, not a config error)."""
+    if "grid" in config:
+        grid = GridSpec(**config["grid"])
+    else:
+        grid = TORUS_GRID if model.space.is_torus else GridSpec(-8.0, 8.0, 2001)
+    settings = config.get("damping", 0.5), config.get("tol", 1e-10), config.get("max_iter", 500)
+    return lambda: self_consistent_fixed_point(model, grid, *settings).density
 
 
 def _oracle_value(config, model, f):
-    """The config's ``oracle_mean``, else the mean of ``f`` under the oracle density."""
+    """``() -> value``: the config's ``oracle_mean``, else the mean of ``f``
+    under the oracle density."""
     if "oracle_mean" in config:
-        return config["oracle_mean"]
-    return reference_expectation(_oracle_density(config, model), lambda x: f(x[:, None]))
-
-
-def _observable(config):
-    return config["observable"], *OBSERVABLES[config["observable"]]
+        return lambda: config["oracle_mean"]
+    density = _oracle_density(config, model)
+    return lambda: reference_expectation(density(), lambda x: f(x[:, None]))
 
 
 def _bounded_observable(config):
-    obs_id, f, f_sup = _observable(config)
+    obs_id = config["observable"]
+    f, f_sup = OBSERVABLES[obs_id]
     if not math.isfinite(f_sup):
         raise ConfigurationError(f"observable {obs_id!r} is unbounded; risk needs bounded f")
     return obs_id, f
+
+
+def _chain_model(config):
+    """The model, and the draw of the config's initial law on its space."""
+    model = make_builtin_model(config["model"])
+    return model, _initial_law(config["init"], model.space)
 
 
 def resolve_threads(explicit=None):
@@ -219,18 +212,18 @@ def decaying_segment(tv_series, floor):
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers (one per kind); each takes (config, out_dir, threads),
-# where threads sizes the worker pool of the replica kinds.  A driver whose
-# kind has a JSON result file returns that file's payload, which
-# run_experiment writes with the config.
+# experiment kinds: one prepare step each, ``prepare(config, threads)``,
+# where threads sizes the worker pool of the replica kinds.  It parses the
+# whole config and builds everything that can reject it (model, chain
+# parameters, grid, observable, initial law, gates), draws nothing, and
+# returns ``run(out_dir) -> payload``.  A kind with a JSON result file has
+# that payload written there with the config.
 
 
-def _run_sample(config, out_dir, threads):
-    model = make_builtin_model(config["model"])
+def _prepare_sample(config, threads):
     params = _chain_params(config)
-    rng = RngStream(params.master_seed)
-    init = sample_initial(config["init"], config["n_particles"], model.space, rng)
-    stride = config.get("stride", 1)
+    model, draw = _chain_model(config)
+    n_particles, stride = config["n_particles"], config.get("stride", 1)
 
     def snapshot(step, state):
         return step, state.positions.copy(), state.velocities.copy()
@@ -240,24 +233,33 @@ def _run_sample(config, out_dir, threads):
         n, d = pos.shape
         return [(i, k, pos[i, k], vel[i, k]) for i in range(n) for k in range(d)]
 
-    obs = Observer(snapshot, stride=stride)
-    final, _ = run_chain(model, init, params, [obs], rng)
+    def run(out_dir):
+        rng = RngStream(params.master_seed)
+        obs = Observer(snapshot, stride=stride)
+        final, _ = run_chain(model, draw(n_particles, rng), params, [obs], rng)
+        header = ["particle", "coord", "x", "v"]
+        rows = [(step, *row) for step, pos, vel in obs.records for row in state_rows(pos, vel)]
+        write_csv(os.path.join(out_dir, "trajectory.csv"), ["step", *header], rows)
+        write_csv(os.path.join(out_dir, "final_state.csv"), header,
+                  state_rows(final.positions, final.velocities))
+        return {}
 
-    header = ["particle", "coord", "x", "v"]
-    rows = [(step, *row) for step, pos, vel in obs.records for row in state_rows(pos, vel)]
-    write_csv(os.path.join(out_dir, "trajectory.csv"), ["step", *header], rows)
-    write_csv(os.path.join(out_dir, "final_state.csv"), header,
-              state_rows(final.positions, final.velocities))
-    return {}
+    return run
 
 
-def _run_sweep_h(config, out_dir, threads):
-    h_grid = config["h_grid"]
-    stride = config.get("stride", 10)
+def _prepare_sweep_h(config, threads):
+    h_grid = _require_sweep_grid(config, "h_grid")
     first_kept = _first_kept_step(config)
-    model = make_builtin_model(config["model"])
-    obs_id, f, _ = _observable(config)
+    per_h = [_chain_params(config, h) for h in h_grid]
+    gate = config.get("slope_gate", [1.5, 2.5])
+    if gate[0] > gate[1]:
+        raise ConfigurationError(f"slope_gate needs lo <= hi, got {gate}")
+    model, _ = _chain_model(config)
+    obs_id = config["observable"]
+    f = OBSERVABLES[obs_id][0]
     oracle_value = _oracle_value(config, model, f)
+    n_particles, reps = config["n_particles"], config.get("reps", 4)
+    stride = config.get("stride", 10)
 
     def visit(step, state):
         """Particle-average observable after burn-in, None before it (the
@@ -267,99 +269,106 @@ def _run_sweep_h(config, out_dir, threads):
         values = f(state.positions)
         return float(np.add.reduce(values) / values.size)
 
-    reps = config.get("reps", 4)
-    gate_lo, gate_hi = config.get("slope_gate", [1.5, 2.5])
-    rows = []
-    biases = []
-    for h, params in zip(h_grid, _per_h_params(config)):
-        runs = run_replicas(
-            model, config["init"], config["n_particles"], params, reps, visit, stride, threads
-        )
-        # each replica's time average over its post-burn-in records
-        estimates = np.asarray(
-            [float(np.mean([v for v in records if v is not None])) for _, records in runs]
-        )
-        bias = float(estimates.mean() - oracle_value)
-        std_err = float(estimates.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        biases.append(abs(bias))
-        rows.append((h, bias, std_err, None, None, None))
-    write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
-    hs = np.asarray(h_grid, dtype=float)
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(biases, 1e-300)), 1)[0])
-    return {
-        "experiment": "sweep_h",
-        "observable": obs_id,
-        "oracle_value": oracle_value,
-        "slope": slope,
-        "gate": [gate_lo, gate_hi],
-        "pass": bool(gate_lo <= slope <= gate_hi),
-    }
+    def run(out_dir):
+        value = oracle_value()
+        rows, biases = [], []
+        for params in per_h:
+            runs = run_replicas(
+                model, config["init"], n_particles, params, reps, visit, stride, threads
+            )
+            # each replica's time average over its post-burn-in records
+            estimates = np.asarray(
+                [float(np.mean([v for v in records if v is not None])) for _, records in runs]
+            )
+            bias = float(estimates.mean() - value)
+            std_err = float(estimates.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+            biases.append(abs(bias))
+            rows.append((params.h, bias, std_err, None, None, None))
+        write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
+        hs = np.asarray(h_grid, dtype=float)
+        slope = float(np.polyfit(np.log(hs), np.log(np.maximum(biases, 1e-300)), 1)[0])
+        return {
+            "experiment": "sweep_h",
+            "observable": obs_id,
+            "oracle_value": value,
+            "slope": slope,
+            "gate": gate,
+            "pass": bool(gate[0] <= slope <= gate[1]),
+        }
+
+    return run
 
 
-def _run_sweep_n(config, out_dir, threads):
-    n_grid = config["n_grid"]
-    model = make_builtin_model(config["model"])
+def _prepare_sweep_n(config, threads):
+    n_grid = _require_sweep_grid(config, "n_grid")
+    params = _chain_params(config)
+    _require_replicas(config["reps"])
+    model, _ = _chain_model(config)
     obs_id, f = _bounded_observable(config)
+
+    def run(out_dir):
+        estimates = [
+            quadratic_risk(
+                model, f, params, n_particles, config["reps"],
+                config["oracle_mean"], config["init"], f_id=obs_id, threads=threads,
+            )
+            for n_particles in n_grid
+        ]
+        rows = [(n, est.value, est.std_err, None, None, None)
+                for n, est in zip(n_grid, estimates)]
+        write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
+        decreasing = all(a.value > b.value for a, b in zip(estimates, estimates[1:]))
+        return {
+            "experiment": "sweep_N",
+            "observable": obs_id,
+            "risk_decreasing_in_N": decreasing,
+            "pass": decreasing,
+        }
+
+    return run
+
+
+def _prepare_converge(config, threads):
     params = _chain_params(config)
-    rows = []
-    estimates = []
-    for n_particles in n_grid:
-        est = quadratic_risk(
-            model, f, params, n_particles, config["reps"],
-            config["oracle_mean"], config["init"], f_id=obs_id, threads=threads,
-        )
-        estimates.append(est)
-        rows.append((n_particles, est.value, est.std_err, None, None, None))
-    write_csv(os.path.join(out_dir, "sweep.csv"), _TABLE_HEADER, rows)
-    decreasing = all(
-        estimates[i].value > estimates[i + 1].value for i in range(len(estimates) - 1)
-    )
-    return {
-        "experiment": "sweep_N",
-        "observable": obs_id,
-        "risk_decreasing_in_N": decreasing,
-        "pass": decreasing,
-    }
-
-
-def _run_converge(config, out_dir, threads):
-    model = make_builtin_model(config["model"])
+    model, _ = _chain_model(config)
     density = _oracle_density(config, model)
-    params = _chain_params(config)
-    stride = config.get("stride", 1)
-    n_bins = config.get("n_bins", 50)
-    runs = run_replicas(
-        model, config["init"], config["n_particles"], params, config.get("reps", 64),
-        lambda step, state: state.positions[:, 0].copy(), stride, threads,
-    )
-
-    rows = []
-    tv_series = []
-    # every replica records the first coordinates at steps 0, stride, 2 stride, ...
-    for i, step in enumerate(range(0, params.n_steps + 1, stride)):
-        samples = np.concatenate([records[i] for _, records in runs])
-        tv = histogram_divergence(samples, density, n_bins=n_bins, kind="tv")
-        kl = histogram_divergence(samples, density, n_bins=n_bins, kind="kl")
-        tv_series.append(tv)
-        rows.append((step, tv, kl))
-    write_csv(os.path.join(out_dir, "series.csv"), ["step", "tv", "kl"], rows)
-
-    tv_series = np.asarray(tv_series)
-    floor = float(np.median(tv_series[-max(3, len(tv_series) // 5):]))
-    start, end = decaying_segment(tv_series, floor)
-    fit = fit_geometric_rate(tv_series[start:end])
-    rate_per_step = fit.rate ** (1.0 / stride)  # records are stride steps apart
+    stride, n_bins = config.get("stride", 1), config.get("n_bins", 50)
+    _require_rate_points(params.n_steps // stride + 1)  # one TV value per record
     kappa = contraction_constants(params.gamma, config.get("rho", 1.0)).kappa
     gate = 1.0 / (1.0 + kappa * params.h) + 0.02
-    return {
-        "experiment": "converge",
-        "rate": rate_per_step,
-        "r_squared": fit.r_squared,
-        "segment": [int(start), int(end)],
-        "tv_floor": floor,
-        "rate_gate": gate,
-        "pass": bool(rate_per_step <= gate and fit.r_squared > 0.9),
-    }
+
+    def run(out_dir):
+        reference = density()
+        runs = run_replicas(
+            model, config["init"], config["n_particles"], params, config.get("reps", 64),
+            lambda step, state: state.positions[:, 0].copy(), stride, threads,
+        )
+        rows, tv_series = [], []
+        # every replica records the first coordinates at steps 0, stride, 2 stride, ...
+        for i, step in enumerate(range(0, params.n_steps + 1, stride)):
+            samples = np.concatenate([records[i] for _, records in runs])
+            tv = histogram_divergence(samples, reference, n_bins=n_bins, kind="tv")
+            kl = histogram_divergence(samples, reference, n_bins=n_bins, kind="kl")
+            tv_series.append(tv)
+            rows.append((step, tv, kl))
+        write_csv(os.path.join(out_dir, "series.csv"), ["step", "tv", "kl"], rows)
+
+        tv_series = np.asarray(tv_series)
+        floor = float(np.median(tv_series[-max(3, len(tv_series) // 5):]))
+        start, end = decaying_segment(tv_series, floor)
+        fit = fit_geometric_rate(tv_series[start:end])
+        rate_per_step = fit.rate ** (1.0 / stride)  # records are stride steps apart
+        return {
+            "experiment": "converge",
+            "rate": rate_per_step,
+            "r_squared": fit.r_squared,
+            "segment": [int(start), int(end)],
+            "tv_floor": floor,
+            "rate_gate": gate,
+            "pass": bool(rate_per_step <= gate and fit.r_squared > 0.9),
+        }
+
+    return run
 
 
 def _random_states(model, n_particles, scales, n_states, rng):
@@ -374,135 +383,125 @@ def _random_states(model, n_particles, scales, n_states, rng):
     return states
 
 
-def _run_lyapunov_check(config, out_dir, threads):
+def _prepare_lyapunov_check(config, threads):
+    per_h = [_chain_params(config, h) for h in config["h_grid"]]
     model = make_builtin_model(config["model"])
-    per_h = _per_h_params(config)
     gamma, seed = per_h[0].gamma, per_h[0].master_seed
-    n_states = config.get("n_states", 100)
+    n_particles, n_states = config["n_particles"], config.get("n_states", 100)
     m_draws = config.get("m_draws", 10_000)
     scales = config.get("state_scales", [0.5, 1.0, 3.0])
-    n_particles = config["n_particles"]
-    states = _random_states(model, n_particles, scales, n_states, RngStream(seed))
     spec = LyapunovSpec.for_model(model, gamma, n_particles)
-
-    rows = []
-    failures = []
-    if model.space.is_torus:
-        for params in per_h:
-            for idx, state in enumerate(states):
-                report = estimate_kernel_drift(
-                    model, state, params, spec, m_draws=m_draws,
-                    rng=RngStream(derive_seed(seed, 1)),
-                )
-                rows.append((
-                    idx, params.h, report.pv_estimate, report.pv_std_err,
-                    report.rhs_bound, report.margin_sigmas, report.holds,
-                ))
-                if not report.holds:
-                    failures.append({"state": idx, "h": params.h})
-        header = ["state", "h", "pv_estimate", "pv_std_err", "rhs_bound", "margin_sigmas",
-                  "holds"]
-        mode = "torus_bound"
-    else:
+    torus = model.space.is_torus
+    if not torus:
+        _require_slope_states(n_states)
         theta = lyapunov_constants(model.space, gamma, model.coeffs, n_particles).theta
+
+    def run(out_dir):
+        states = _random_states(model, n_particles, scales, n_states, RngStream(seed))
+        rows, failures = [], []
         for params in per_h:
-            fit = drift_slope_regression(
-                model, states, params, spec, m_draws=m_draws, seed=derive_seed(seed, 1)
-            )
-            gate = 1.0 - theta * params.h + 2.0 * fit.slope_std_err
-            ok = fit.slope <= gate
-            rows.append((params.h, fit.slope, fit.slope_std_err, None, gate, ok))
-            if not ok:
-                failures.append({"h": params.h, "slope": fit.slope, "gate": gate})
-        header = _TABLE_HEADER
-        mode = "euclidean_slope"
-    write_csv(os.path.join(out_dir, "drift.csv"), header, rows)
-    return {
-        "experiment": "lyapunov_check", "mode": mode, "failures": failures,
-        "pass": not failures,
-    }
+            if torus:
+                for idx, state in enumerate(states):
+                    report = estimate_kernel_drift(
+                        model, state, params, spec, m_draws=m_draws,
+                        rng=RngStream(derive_seed(seed, 1)),
+                    )
+                    rows.append((
+                        idx, params.h, report.pv_estimate, report.pv_std_err,
+                        report.rhs_bound, report.margin_sigmas, report.holds,
+                    ))
+                    if not report.holds:
+                        failures.append({"state": idx, "h": params.h})
+            else:
+                fit = drift_slope_regression(
+                    model, states, params, spec, m_draws=m_draws, seed=derive_seed(seed, 1)
+                )
+                gate = 1.0 - theta * params.h + 2.0 * fit.slope_std_err
+                ok = fit.slope <= gate
+                rows.append((params.h, fit.slope, fit.slope_std_err, None, gate, ok))
+                if not ok:
+                    failures.append({"h": params.h, "slope": fit.slope, "gate": gate})
+        header = ("state", "h", "pv_estimate", "pv_std_err", "rhs_bound", "margin_sigmas",
+                  "holds") if torus else _TABLE_HEADER
+        write_csv(os.path.join(out_dir, "drift.csv"), header, rows)
+        return {
+            "experiment": "lyapunov_check", "failures": failures, "pass": not failures,
+            "mode": "torus_bound" if torus else "euclidean_slope",
+        }
+
+    return run
 
 
-def _run_oracle(config, out_dir, threads):
-    model = make_builtin_model(config["model"])
-    density = _oracle_density(config, model)
-    rows = list(zip(density.centers, density.values))
-    write_csv(os.path.join(out_dir, "density.csv"), ["x", "density"], rows)
-    return {}
+def _prepare_oracle(config, threads):
+    density = _oracle_density(config, make_builtin_model(config["model"]))
+
+    def run(out_dir):
+        solved = density()
+        rows = list(zip(solved.centers, solved.values))
+        write_csv(os.path.join(out_dir, "density.csv"), ["x", "density"], rows)
+        return {}
+
+    return run
 
 
-def _run_constants(config, out_dir, threads):
+def _prepare_constants(config, threads):
+    """Closed-form arithmetic only, so the payload is computed here."""
     payload = asdict(contraction_constants(
         config["gamma"], config["rho"],
         c1_hat=config.get("c1_hat", 0.0), delta_n=config.get("delta_n", 0.0),
     ))
     if "lsi" in config:
         payload["lsi"] = asdict(lsi_constants(
-            LsiConstants(**config["lsi"]),
-            config.get("n_particles", 1),
-            config.get("d", 1),
+            LsiConstants(**config["lsi"]), config.get("n_particles", 1), config.get("d", 1)
         ))
     if "model" in config:
         model = make_builtin_model(config["model"])
         payload["lyapunov"] = asdict(lyapunov_constants(
             model.space, config["gamma"], model.coeffs, config.get("n_particles", 1)
         ))
-    return payload
+    return lambda out_dir: payload
 
 
-def _run_risk(config, out_dir, threads):
-    model = make_builtin_model(config["model"])
+def _prepare_risk(config, threads):
+    params = _chain_params(config)
+    _require_replicas(config["reps"])
+    model, _ = _chain_model(config)
     obs_id, f = _bounded_observable(config)
     oracle_value = _oracle_value(config, model, f)
-    params = _chain_params(config)
-    estimate = quadratic_risk(
-        model, f, params, config["n_particles"], config["reps"],
-        oracle_value, config["init"], f_id=obs_id, threads=threads,
-    )
-    return {
-        "value": estimate.value,
-        "std_err": estimate.std_err,
-        "reps": estimate.reps,
-        "oracle_mean": oracle_value,
-    }
+
+    def run(out_dir):
+        value = oracle_value()
+        estimate = quadratic_risk(
+            model, f, params, config["n_particles"], config["reps"],
+            value, config["init"], f_id=obs_id, threads=threads,
+        )
+        return {
+            "value": estimate.value,
+            "std_err": estimate.std_err,
+            "reps": estimate.reps,
+            "oracle_mean": value,
+        }
+
+    return run
 
 
 # fields of every kind that runs chains from an initial law
 _CHAIN_FIELDS = ("model", "n_particles", "chain", "init")
 
-
-def _check_sweep_h(config):
-    _require_sweep_grid(config, "h_grid")
-    _first_kept_step(config)
-    _per_h_params(config)
-
-
-def _check_sweep_n(config):
-    _require_sweep_grid(config, "n_grid")
-    _chain_params(config)
-
-
-def _no_check(config):
-    """Kinds without chain parameters or a sweep grid."""
-
-
-# kind -> (driver, required config fields, result file, check).  ``check``
-# raises the config errors the driver would meet in its chain parameters and
-# sweep grid; it runs before the output directory is made.  The result file
+# kind -> (prepare, required config fields, result file).  The result file
 # is written last, so a directory without it holds a run that did not finish.
 _KINDS = {
-    "sample": (_run_sample, _CHAIN_FIELDS, "final_state.csv", _chain_params),
-    "sweep_h": (_run_sweep_h, (*_CHAIN_FIELDS, "h_grid", "observable"), "summary.json",
-                _check_sweep_h),
-    "sweep_N": (_run_sweep_n,
+    "sample": (_prepare_sample, _CHAIN_FIELDS, "final_state.csv"),
+    "sweep_h": (_prepare_sweep_h, (*_CHAIN_FIELDS, "h_grid", "observable"), "summary.json"),
+    "sweep_N": (_prepare_sweep_n,
                 ("model", "chain", "init", "n_grid", "reps", "observable", "oracle_mean"),
-                "summary.json", _check_sweep_n),
-    "converge": (_run_converge, _CHAIN_FIELDS, "summary.json", _chain_params),
-    "lyapunov_check": (_run_lyapunov_check, ("model", "n_particles", "chain", "h_grid"),
-                       "summary.json", _per_h_params),
-    "oracle": (_run_oracle, ("model",), "density.csv", _no_check),
-    "constants": (_run_constants, ("gamma", "rho"), "constants.json", _no_check),
-    "risk": (_run_risk, (*_CHAIN_FIELDS, "reps", "observable"), "risk.json", _chain_params),
+                "summary.json"),
+    "converge": (_prepare_converge, _CHAIN_FIELDS, "summary.json"),
+    "lyapunov_check": (_prepare_lyapunov_check, ("model", "n_particles", "chain", "h_grid"),
+                       "summary.json"),
+    "oracle": (_prepare_oracle, ("model",), "density.csv"),
+    "constants": (_prepare_constants, ("gamma", "rho"), "constants.json"),
+    "risk": (_prepare_risk, (*_CHAIN_FIELDS, "reps", "observable"), "risk.json"),
 }
 
 EXPERIMENT_KINDS = tuple(_KINDS)
@@ -510,86 +509,63 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 _NUM = {"type": "number"}
 _NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+_NONNEG_INT = {"type": "integer", "minimum": 0}
 
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(EXPERIMENT_KINDS)},
-        "out_dir": {"type": "string"},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["variant"],
-            "properties": {
-                "variant": {"type": "string"},
-                "r": _NUM, "s": _NUM, "L": _NUM, "a": _NUM, "b": _NUM,
-                "d": _POS_INT, "ridge_r": _NUM,
-                "xs": {"type": "array", "items": {"type": "array", "items": _NUM}},
-                "ys": {"type": "array", "items": _NUM},
-            },
-        },
-        "n_particles": _POS_INT,
-        "chain": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "h": _NUM,
-                "gamma": _NUM,
-                "n_steps": {"type": "integer", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "init": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["point", "gaussian", "uniform"]},
-                "at": {"type": ["number", "array"], "items": _NUM},
-                "mean": {"type": ["number", "array"], "items": _NUM},
-                "std": _NONNEG,
-                "wrap": {"type": "boolean"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"lo": _NUM, "hi": _NUM, "n_cells": _POS_INT},
-            "required": ["lo", "hi", "n_cells"],
-        },
-        "observable": {"enum": sorted(OBSERVABLES)},
-        "stride": _POS_INT,
-        "burn_in": {"type": "number", "minimum": 0.0, "maximum": 0.9},
-        "h_grid": {"type": "array", "items": _NUM, "minItems": 1},
-        "n_grid": {"type": "array", "items": _POS_INT, "minItems": 1},
-        "reps": _POS_INT,
-        "n_bins": _POS_INT,
-        "n_states": _POS_INT,
-        "m_draws": _POS_INT,
-        "state_scales": {"type": "array", "items": _NONNEG, "minItems": 1},
-        "slope_gate": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        "damping": _NUM,
-        "tol": _NUM,
-        "max_iter": _POS_INT,
-        "oracle_mean": _NUM,
-        "gamma": _NUM,
-        "rho": _NUM,
-        "c1_hat": _NUM,
-        "delta_n": _NUM,
-        "lsi": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rho_bar": _NUM, "mmm": _NUM, "eps": _NUM,
-                "lambda_flat": _NUM, "alpha_n": _NUM,
-                "alpha_n_prime": _NUM, "lambda_prime": _NUM, "rho_n": _NUM,
-            },
-            "required": ["rho_bar", "mmm"],
-        },
-        "d": _POS_INT,
-    },
-}
+
+def _object(properties, *required):
+    """Schema of a JSON object with these fields, the ``required`` ones
+    among them, and no others."""
+    return {"type": "object", "additionalProperties": False, "properties": properties,
+            "required": list(required)}
+
+
+_SCHEMA = _object({
+    "kind": {"enum": list(EXPERIMENT_KINDS)},
+    "out_dir": {"type": "string"},
+    "model": _object({
+        "variant": {"type": "string"},
+        "r": _NUM, "s": _NUM, "L": _NUM, "a": _NUM, "b": _NUM,
+        "d": _POS_INT, "ridge_r": _NUM,
+        "xs": {"type": "array", "items": {"type": "array", "items": _NUM}},
+        "ys": {"type": "array", "items": _NUM},
+    }, "variant"),
+    "n_particles": _POS_INT,
+    "chain": _object({"h": _NUM, "gamma": _NUM, "n_steps": _NONNEG_INT, "seed": _NONNEG_INT}),
+    "init": _object({
+        "kind": {"enum": ["point", "gaussian", "uniform"]},
+        "at": {"type": ["number", "array"], "items": _NUM},
+        "mean": {"type": ["number", "array"], "items": _NUM},
+        "std": _NONNEG,
+        "wrap": {"type": "boolean"},
+    }),
+    "grid": _object({"lo": _NUM, "hi": _NUM, "n_cells": _POS_INT}, "lo", "hi", "n_cells"),
+    "observable": {"enum": sorted(OBSERVABLES)},
+    "stride": _POS_INT,
+    "burn_in": {"type": "number", "minimum": 0.0, "maximum": 0.9},
+    "h_grid": {"type": "array", "items": _NUM, "minItems": 1},
+    "n_grid": {"type": "array", "items": _POS_INT, "minItems": 1},
+    "reps": _POS_INT,
+    # the histogram, Monte Carlo and fixed-point solvers' own ranges
+    "n_bins": {"type": "integer", "minimum": 10},
+    "n_states": _POS_INT,
+    "m_draws": {"type": "integer", "minimum": 1000},
+    "state_scales": {"type": "array", "items": _NONNEG, "minItems": 1},
+    "slope_gate": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
+    "damping": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+    "tol": _NUM,
+    "max_iter": _POS_INT,
+    "oracle_mean": _NUM,
+    "gamma": _NUM,
+    "rho": _NUM,
+    "c1_hat": _NUM,
+    "delta_n": _NUM,
+    "lsi": _object({
+        "rho_bar": _NUM, "mmm": _NUM, "eps": _NUM,
+        "lambda_flat": _NUM, "alpha_n": _NUM,
+        "alpha_n_prime": _NUM, "lambda_prime": _NUM, "rho_n": _NUM,
+    }, "rho_bar", "mmm"),
+    "d": _POS_INT,
+}, "kind")
 
 _VALIDATOR = Draft202012Validator(_SCHEMA)
 
@@ -600,26 +576,28 @@ def run_experiment(config, out_dir=None, seed=None, threads=None):
     ``seed`` overrides the config seed; outputs land in ``out_dir`` (or the
     config's ``out_dir``).  Returns the summary payload of the experiment;
     a kind with a JSON result file writes that payload there with the config.
-    Required fields, chain parameters, sweep grids and ``MFKL_THREADS`` are
-    checked before the output directory is made.
+    The schema, the kind's required fields, ``MFKL_THREADS`` and the kind's
+    prepare step, which parses the rest of the config, all run before the
+    output directory is made, so every :class:`ConfigurationError` is raised
+    while no file exists.
     """
     config = validate_config(dict(config))
     if seed is not None:
         config["chain"] = {**config.get("chain", {}), "seed": int(seed)}
-    driver, required, result_file, check = _KINDS[config["kind"]]
+    prepare, required, result_file = _KINDS[config["kind"]]
     missing = [name for name in required if name not in config]
     if missing:
         raise ConfigurationError(
             f"config kind {config['kind']!r} requires field(s): {', '.join(missing)}"
         )
-    check(config)
     threads = resolve_threads(threads)
     out_dir = out_dir or config.get("out_dir")
     if not out_dir:
         raise ConfigurationError("no output directory given (config out_dir or --out)")
+    run = prepare(config, threads)
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "config.json"), config)
-    payload = driver(config, out_dir, threads)
+    payload = run(out_dir)
     if result_file.endswith(".json"):
         write_json(os.path.join(out_dir, result_file), {**payload, "config": config})
     return payload

@@ -160,6 +160,7 @@ def drift_slope_regression(model, states, params, spec, m_draws=10_000, seed=0):
     sharpen the comparison.  The drift inequality predicts a fitted slope
     at most ``1 - theta h`` up to statistical error.
     """
+    _require_slope_states(len(states))
     v_vals = []
     pv_vals = []
     for state in states:
@@ -171,13 +172,16 @@ def drift_slope_regression(model, states, params, spec, m_draws=10_000, seed=0):
     v_vals = np.asarray(v_vals)
     pv_vals = np.asarray(pv_vals)
     n = len(v_vals)
-    if n < 3:
-        raise ConfigurationError("need at least three states to fit a slope")
     slope, intercept, ss_v, rss, r_squared = _fit_line(
         v_vals, pv_vals, "the Lyapunov value of the states"
     )
     stderr = math.sqrt(rss / (n - 2) / ss_v)
     return SlopeFit(slope=slope, slope_std_err=stderr, intercept=intercept, r_squared=r_squared)
+
+
+def _require_slope_states(n_states):
+    if n_states < 3:
+        raise ConfigurationError(f"need at least three states to fit a slope, got {n_states}")
 
 
 # ---------------------------------------------------------------------------

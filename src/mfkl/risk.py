@@ -48,9 +48,7 @@ def quadratic_risk(
     standard error are aggregated in replica order, so results do not
     depend on scheduling.
     """
-    if reps < 8:
-        raise ConfigurationError("quadratic risk needs at least 8 replicas")
-
+    _require_replicas(reps)
     runs = run_replicas(model, init_law, n_particles, params, reps, threads=threads)
     estimates = [float(np.mean(np.asarray(f(final.positions), dtype=float))) for final, _ in runs]
     sq_errors = (np.asarray(estimates) - oracle_mean) ** 2
@@ -65,6 +63,11 @@ def quadratic_risk(
         "seed": params.master_seed,
     }
     return RiskEstimate(value=value, std_err=std_err, reps=reps, config=config)
+
+
+def _require_replicas(reps):
+    if reps < 8:
+        raise ConfigurationError(f"quadratic risk needs at least 8 replicas, got {reps}")
 
 
 @dataclass
@@ -182,13 +185,17 @@ class RateFit:
 def fit_geometric_rate(series):
     """Least-squares geometric rate of a positive series: exp(log-slope)."""
     series = np.asarray(series, dtype=float).reshape(-1)
-    if series.size < 10:
-        raise ConfigurationError("need at least 10 points to fit a rate")
+    _require_rate_points(series.size)
     if (series <= 0.0).any() or not np.isfinite(series).all():
         raise NumericalDomainError("rate fitting needs strictly positive finite values")
     y = np.log(series)
     slope, _, _, _, r_squared = _fit_line(np.arange(series.size, dtype=float), y, "time")
     return RateFit(rate=math.exp(slope), r_squared=r_squared)
+
+
+def _require_rate_points(n_points):
+    if n_points < 10:
+        raise ConfigurationError(f"need at least 10 points to fit a rate, got {n_points}")
 
 
 def _fit_line(x, y, x_name):

@@ -664,6 +664,7 @@ def test_malformed_point_or_dataset_exit_2(tmp_path, section, entries, field):
     assert result.returncode == 2
     assert field in result.stderr
     assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, entries, needle", [
@@ -748,10 +749,51 @@ def test_non_finite_config_number_exit_2_naming_it(tmp_path, kind, entries, path
     assert not out.exists()
 
 
+_BAD_R = {"variant": "quadratic", "r": -1.0, "s": 0.25}
+_R_MESSAGE = "quadratic model needs r > 0"
+_TORUS = {"variant": "torus_trig", "a": 0.3, "b": 0.2, "d": 1}
+
+
 @pytest.mark.parametrize("kind, entries, message", [
     ("lyapunov_check", {"chain": {"seed": 3}}, "config requires chain.h and chain.gamma"),
     ("sweep_h", {"h_grid": [0.03, 0.03]}, "h_grid needs at least two distinct values"),
     ("sweep_h", {"stride": 50, "burn_in": 0.9}, "no observer record falls after burn-in"),
+    # a bad model in every kind that builds one
+    ("sample", {"model": {"variant": "nope"}}, "unknown model variant 'nope'"),
+    ("sweep_h", {"model": _BAD_R}, _R_MESSAGE),
+    ("sweep_N", {"model": _BAD_R}, _R_MESSAGE),
+    ("converge", {"model": _BAD_R}, _R_MESSAGE),
+    ("lyapunov_check", {"model": _BAD_R}, _R_MESSAGE),
+    ("oracle", {"model": {"variant": "nope"}}, "unknown model variant 'nope'"),
+    ("constants", {"model": _BAD_R}, _R_MESSAGE),
+    ("risk", {"model": _BAD_R}, _R_MESSAGE),
+    # an unbounded observable where the risk needs a bounded one
+    ("risk", {"observable": "x2"}, "observable 'x2' is unbounded"),
+    ("sweep_N", {"observable": "x2"}, "observable 'x2' is unbounded"),
+    # initial laws
+    ("converge", {"init": {"kind": "uniform"}}, "uniform initial positions are torus-only"),
+    ("sample", {"model": _TORUS, "init": {"kind": "point", "at": 1.5}},
+     "point mass must lie in [0,1)^d on the torus"),
+    ("risk", {"init": {}}, "unknown initial law kind None"),
+    ("sweep_h", {"init": {}}, "unknown initial law kind None"),
+    # oracle grids and solver settings
+    ("converge", {"grid": {"lo": 6.0, "hi": -6.0, "n_cells": 201}}, "grid needs hi > lo"),
+    ("oracle", {"grid": {"lo": 6.0, "hi": -6.0, "n_cells": 201}}, "grid needs hi > lo"),
+    ("oracle", {"damping": 5.0}, "$.damping"),
+    # theory constants
+    ("converge", {"rho": -1.0}, "rho must be positive"),
+    ("constants", {"rho": -1.0}, "rho must be positive"),
+    ("constants", {"lsi": {"rho_bar": -1.0, "mmm": 0.1}}, "rho_bar must be positive"),
+    # replica, state, draw and record counts
+    ("risk", {"reps": 2}, "at least 8 replicas"),
+    ("sweep_N", {"reps": 2}, "at least 8 replicas"),
+    ("lyapunov_check", {"m_draws": 10}, "$.m_draws"),
+    ("lyapunov_check", {"model": {"variant": "quadratic", "r": 1.0, "s": 0.0}},
+     "at least three states to fit a slope"),
+    ("converge", {"n_bins": 5}, "$.n_bins"),
+    ("converge", {"stride": 5}, "at least 10 points to fit a rate"),
+    # a gate that no slope can pass
+    ("sweep_h", {"slope_gate": [3.0, 1.0]}, "slope_gate"),
 ])
 def test_driver_config_error_exit_2_before_any_output(tmp_path, kind, entries, message):
     out = tmp_path / "out"

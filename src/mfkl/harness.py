@@ -24,6 +24,7 @@ from .model import ParticleState, make_builtin_model
 from .oracle import (
     TORUS_GRID,
     GridSpec,
+    _require_fixed_point_model,
     reference_expectation,
     self_consistent_fixed_point,
 )
@@ -96,6 +97,12 @@ def load_config(path):
 
 
 def _fmt(value):
+    # exact type tests first: Python floats and ints are nearly every cell,
+    # and bool, np.float64 and np.bool_ fail them and take the general path
+    if type(value) is float:
+        return repr(value)
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -111,7 +118,7 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_json(path, payload):
@@ -151,8 +158,10 @@ def _first_kept_step(config):
 
 
 def _oracle_density(config, model):
-    """``() -> density``: the grid is built now, the fixed point runs on call
-    (its non-convergence is a run failure, not a config error)."""
+    """``() -> density``: the model's capability and the grid are checked
+    now, the fixed point runs on call (its non-convergence is a run failure,
+    not a config error)."""
+    _require_fixed_point_model(model)
     if "grid" in config:
         grid = GridSpec(**config["grid"])
     else:
@@ -215,9 +224,9 @@ def decaying_segment(tv_series, floor):
 # experiment kinds: one prepare step each, ``prepare(config, threads)``,
 # where threads sizes the worker pool of the replica kinds.  It parses the
 # whole config and builds everything that can reject it (model, chain
-# parameters, grid, observable, initial law, gates), draws nothing, and
-# returns ``run(out_dir) -> payload``.  A kind with a JSON result file has
-# that payload written there with the config.
+# parameters, oracle capability and grid, observable, initial law, gates),
+# draws nothing, and returns ``run(out_dir) -> payload``.  A kind with a
+# JSON result file has that payload written there with the config.
 
 
 def _prepare_sample(config, threads):
@@ -231,7 +240,8 @@ def _prepare_sample(config, threads):
     def state_rows(pos, vel):
         """One ``(particle, coord, x, v)`` row per coordinate, particle-major."""
         n, d = pos.shape
-        return [(i, k, pos[i, k], vel[i, k]) for i in range(n) for k in range(d)]
+        pos, vel = pos.tolist(), vel.tolist()  # Python floats: write_csv's fast path
+        return [(i, k, pos[i][k], vel[i][k]) for i in range(n) for k in range(d)]
 
     def run(out_dir):
         rng = RngStream(params.master_seed)
@@ -578,8 +588,9 @@ def run_experiment(config, out_dir=None, seed=None, threads=None):
     a kind with a JSON result file writes that payload there with the config.
     The schema, the kind's required fields, ``MFKL_THREADS`` and the kind's
     prepare step, which parses the rest of the config, all run before the
-    output directory is made, so every :class:`ConfigurationError` is raised
-    while no file exists.
+    output directory is made, so every :class:`ConfigurationError`, and the
+    :class:`CapabilityError` of a model the fixed-point oracle cannot take,
+    is raised while no file exists.
     """
     config = validate_config(dict(config))
     if seed is not None:

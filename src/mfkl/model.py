@@ -274,8 +274,13 @@ def system_potential(model, positions):
 
 
 # Elements of one (..., B, N, d) pair temporary of the pair kernel, every
-# batch axis counted: 2^17 float64 values, 1 MiB.
-_PAIR_BLOCK = 1 << 17
+# batch axis counted: 2^15 float64 values, 256 KiB.  A block keeps about
+# four such arrays live (the Gaussian kernel's two buffers, the sorted copy
+# and the running sum), so its working set stays inside a 2 MiB L2 cache.
+# At N = 1024, d = 2, force_all took 36.0 ms at 2^15, 37-38 ms at 2^14 and
+# 2^16, and 44.6 ms at 2^17 (median of 150 calls each, 2-core Xeon host;
+# the sweep is in BENCH_12.json).
+_PAIR_BLOCK = 1 << 15
 
 
 def _coordinate_major(points):
@@ -452,9 +457,17 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
     external, confinement = _confinement(r)
 
     def pair_grad(x, y):
+        # the bits of (-2 L) exp(-|delta|^2) delta + 2 s delta: the same
+        # operations in the same order, in place in two (..., B, N, d) buffers
         delta = x - y
-        sq = np.sum(delta * delta, axis=-1, keepdims=True)
-        return (-2.0 * big_l) * np.exp(-sq) * delta + 2.0 * s * delta
+        out = np.multiply(delta, delta)
+        scale = np.add.reduce(out, axis=-1, keepdims=True)
+        np.negative(scale, out=scale)
+        np.exp(scale, out=scale)
+        np.multiply(-2.0 * big_l, scale, out=scale)
+        np.multiply(scale, delta, out=out)
+        np.multiply(2.0 * s, delta, out=delta)
+        return np.add(out, delta, out=out)
 
     def pair_w(x, y):
         delta = x - y

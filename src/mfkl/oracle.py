@@ -124,6 +124,14 @@ def density_total_variation(a, b):
     return 0.5 * float(np.sum(np.abs(a.values - b.values)) * a.dx)
 
 
+def _require_fixed_point_model(model):
+    """The fixed-point oracle's capability checks, which read only the model."""
+    if model.linear_derivative is None:
+        raise CapabilityError("model does not expose a 1-d linear derivative")
+    if model.space.d != 1:
+        raise CapabilityError("the fixed-point oracle is one-dimensional")
+
+
 def self_consistent_fixed_point(model, grid, damping=0.5, tol=1e-10, max_iter=500):
     """Damped Picard iteration for the stationary self-consistent density.
 
@@ -132,10 +140,7 @@ def self_consistent_fixed_point(model, grid, damping=0.5, tol=1e-10, max_iter=50
     Returns a :class:`FixedPointResult`; non-convergence raises (it typically
     signals interactions strong enough for non-uniqueness).
     """
-    if model.linear_derivative is None:
-        raise CapabilityError("model does not expose a 1-d linear derivative")
-    if model.space.d != 1:
-        raise CapabilityError("the fixed-point oracle is one-dimensional")
+    _require_fixed_point_model(model)
     if not 0.0 < damping <= 1.0:
         raise ConfigurationError("damping must lie in (0, 1]")
     centers = grid.centers

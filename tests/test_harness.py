@@ -19,6 +19,7 @@ from mfkl.harness import (
     load_config,
     run_experiment,
     validate_config,
+    write_csv,
     write_json,
 )
 
@@ -124,6 +125,26 @@ class TestSampleKind:
         rows = read_csv(out / "trajectory.csv")
         assert list(rows[0]) == ["step", "particle", "coord", "x", "v"]
         assert len(rows) == 11 * 2  # 11 recorded steps, N=2, d=1
+
+
+# one cell per value type the CSV writer meets, with its exact text; numpy 2
+# reprs np.float64(1.0) as "np.float64(1.0)", so numpy floats must not reach
+# repr unconverted, and bool is an int subclass but writes as true/false
+_CSV_CELLS = [
+    (1.5, "1.5"), (np.float64(1.0), "1.0"), (np.float64(0.1), "0.1"), (-0.0, "-0.0"),
+    (np.float64(-0.0), "-0.0"), (5e-324, "5e-324"), (1e300, "1e+300"), (7, "7"),
+    (np.int64(-3), "-3"), (True, "true"), (False, "false"), (np.bool_(False), "false"),
+    (None, ""), ("tag", "tag"),
+]
+
+
+def test_write_csv_bytes_per_value_type(tmp_path):
+    path = tmp_path / "cells.csv"
+    values, cells = zip(*_CSV_CELLS)
+    header = [f"c{i}" for i in range(len(values))]
+    write_csv(str(path), header, [values, values[::-1]])
+    expected = "".join(",".join(line) + "\n" for line in (header, cells, cells[::-1]))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestReproducibility:
@@ -801,5 +822,22 @@ def test_driver_config_error_exit_2_before_any_output(tmp_path, kind, entries, m
     result = run_cli(kind, "--config", _write_config(tmp_path, config), "--out", str(out))
     assert result.returncode == 2
     assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+_QUAD_2D = {"variant": "quadratic", "r": 1.0, "s": 0.25, "d": 2}
+
+
+@pytest.mark.parametrize("kind", ["oracle", "converge", "sweep_h", "risk"])
+def test_oracle_capability_error_exit_1_before_any_output(tmp_path, kind):
+    # a 2-d model has no 1-d linear derivative, so the fixed-point oracle
+    # cannot run; sweep_h and risk need it only without oracle_mean
+    config = {k: v for k, v in _KIND_CONFIGS[kind].items() if k != "oracle_mean"}
+    config["model"] = _QUAD_2D
+    out = tmp_path / "out"
+    result = run_cli(kind, "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 1
+    assert "model does not expose a 1-d linear derivative" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()

@@ -462,8 +462,22 @@ def test_pair_models_match_reference_sums(variant, d):
         assert np.array_equal(model.force_all(system), force_all(system))
         for row in system:
             assert np.array_equal(model.force(system, row), force(system, row))
-    expected = energy(x)
-    assert np.all(np.abs(model.energy(x) - expected) <= 1e-15 * np.abs(expected))
+    # the model sums each row's sorted pair terms and then the rows, the
+    # reference sorts all N^2 terms at once: they agree to rounding, within a
+    # few ulps of the sum of the terms' magnitudes (the torus energy can
+    # cancel to near zero, so a bound relative to the energy itself can too)
+    delta = x[..., :, None, :] - x[..., None, :, :]
+    if variant == "gauss":
+        ext = 0.5 * 1.3 * np.sum(x * x, axis=-1)
+        sq = np.sum(delta * delta, axis=-1)
+        pair = 0.9 * np.exp(-sq) + 0.15 * sq
+    else:
+        two_pi_x, two_pi_delta = 2.0 * np.pi * x, 2.0 * np.pi * model.space.min_image(delta)
+        ext = np.sum(np.abs(0.3 * np.cos(two_pi_x)), axis=-1)
+        pair = np.sum(np.abs(0.2 * np.cos(two_pi_delta)), axis=-1)
+    magnitude = np.mean(np.abs(ext), axis=-1) + np.mean(np.abs(pair), axis=(-2, -1)) / 2.0
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(model.energy(x) - energy(x)) <= 4.0 * eps * magnitude)
 
 
 # Blocked pair kernel: forces are evaluated a block of query rows at a time.
@@ -507,6 +521,68 @@ def test_blocked_pair_forces_match_reference_bitwise(variant, shape, rows_per_bl
     system = x.reshape((-1,) + shape[-2:])[0]
     for row in system[:3]:
         assert _same_bytes(model.force(system, row), force(system, row))
+
+
+@pytest.mark.parametrize("budget", ["row", 1 << 12, 1 << 15, 1 << 17, "all"])
+def test_gauss_force_same_bytes_at_every_block_budget(budget, monkeypatch):
+    import mfkl.model
+
+    n, d = 1024, 2
+    x = m.RngStream(1024).normal_matrix((n, d))
+    model = m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=d)
+    expected = model.force_all(x)
+    # one query row (n * d values) per block, up to every row in one block
+    values = {"row": n * d, "all": n * n * d}.get(budget, budget)
+    monkeypatch.setattr(mfkl.model, "_PAIR_BLOCK", values)
+    assert _same_bytes(model.force_all(x), expected)
+
+
+def _gauss_pair_grad_expression(big_l, s):
+    # the Gaussian pair gradient as one expression, as _reference_gauss states it
+    def pair_grad(x, y):
+        delta = x - y
+        sq = np.sum(delta * delta, axis=-1, keepdims=True)
+        return (-2.0 * big_l) * np.exp(-sq) * delta + 2.0 * s * delta
+
+    return pair_grad
+
+
+def _captured_pair_grad(model, d, monkeypatch):
+    """The ``grad_w`` that ``model.force_all`` hands to the pair kernel."""
+    import mfkl.model
+
+    seen = []
+    pair_sums = mfkl.model._pair_sums
+
+    def spy(grad_w, *args):
+        seen.append(grad_w)
+        return pair_sums(grad_w, *args)
+
+    monkeypatch.setattr(mfkl.model, "_pair_sums", spy)
+    model.force_all(np.zeros((1, d)))
+    return seen[0]
+
+
+@pytest.mark.parametrize("coordinate_major", [False, True])
+@pytest.mark.parametrize("big_l, s", [(0.9, 0.15), (1.0, 0.0), (0.0, 0.0)])
+def test_gauss_pair_grad_matches_expression_bitwise(big_l, s, coordinate_major, monkeypatch):
+    # coincident points (zero deltas, of either sign) and deltas whose
+    # Gaussian factor is subnormal (|delta|^2 near 740) or underflows to 0
+    points = np.array([
+        [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.3, -1.2], [0.3, -1.2],
+        [27.2, 0.0], [0.0, -27.3], [40.0, 1e3], [-1e200, 2.0], [1e-300, -5e-324],
+    ])
+    pair_grad = _captured_pair_grad(m.gauss_attract_repel_model(big_l, s, 1.0, d=2), 2,
+                                    monkeypatch)
+    if coordinate_major:
+        # the strided views the pair kernel builds from (d, N) memory
+        cm = np.ascontiguousarray(points.T)
+        x, y = np.moveaxis(cm[:, :, None], 0, -1), np.moveaxis(cm[:, None, :], 0, -1)
+    else:
+        x, y = points[:, None, :], points[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _gauss_pair_grad_expression(big_l, s)(x, y)
+        assert _same_bytes(pair_grad(x, y), expected)
 
 
 def test_blocked_torus_force_keeps_signed_zeros():

@@ -5,10 +5,10 @@ particle given the empirical measure of all particles, i.e. the gradient
 of the first variation of the energy.  The N-particle potential is N times
 the energy of the empirical measure; its gradient drives the sampler.
 
-All reductions over particles (means, pair sums) sort their contributions
-componentwise before summing.  Floating-point summation of a sorted
-sequence does not depend on the original particle order, which makes every
-force evaluation bitwise permutation-equivariant.
+No reduction over particles depends on the order the particles come in,
+which makes every force evaluation bitwise permutation-equivariant: means
+sum their values sorted componentwise, and pair sums add the j terms in one
+canonical particle order, the particles sorted by their coordinates' bits.
 """
 
 import dataclasses
@@ -226,7 +226,8 @@ class MeanFieldModel:
     models state the force once, as ``field(positions, queries)`` at
     ``(..., M, d)`` query points, computing each query row on its own;
     ``force`` is the field at ``x`` alone, ``force_all`` at the particles.
-    Built-in pair energies, like pair forces, take O(B N d) memory.
+    Built-in pair forces and energies sum over j in one canonical particle
+    order (see :func:`_pair_sums`) and take O(B N d) memory.
     """
 
     space: Space
@@ -274,12 +275,11 @@ def system_potential(model, positions):
 
 
 # Elements of one (..., B, N, d) pair temporary of the pair kernel, every
-# batch axis counted: 2^15 float64 values, 256 KiB.  A block keeps about
-# four such arrays live (the Gaussian kernel's two buffers, the sorted copy
-# and the running sum), so its working set stays inside a 2 MiB L2 cache.
-# At N = 1024, d = 2, force_all took 36.0 ms at 2^15, 37-38 ms at 2^14 and
-# 2^16, and 44.6 ms at 2^17 (median of 150 calls each, 2-core Xeon host;
-# the sweep is in BENCH_12.json).
+# batch axis counted: 2^15 float64 values, 256 KiB.  A block keeps two such
+# arrays live (the Gaussian kernel's two buffers), well inside a 2 MiB L2
+# cache.  At N = 1024, d = 2, force_all took 14.2 ms at 2^15, 14.9-15.2 ms
+# at 2^13, 2^14 and 2^16, 17.7 ms at 2^17 and 26.0 ms at 2^18 (median of 150
+# calls each, 2-core Xeon host; the sweep is in BENCH_14.json).
 _PAIR_BLOCK = 1 << 15
 
 
@@ -288,18 +288,17 @@ def _coordinate_major(points):
     return np.ascontiguousarray(np.moveaxis(points, -1, 0))
 
 
-def _sum_sorted_pairs(pairs):
-    """``np.sum(axis=-2)`` of the C-contiguous copy of ``pairs``, bitwise.
+def _canonical_order(points_cm):
+    """Indices sorting ``(d, ..., N)`` coordinate-major points along N.
 
-    With a last axis of length 1 the j axis is the fast axis of that copy,
-    which numpy sums pairwise, so the copy itself is summed.  Otherwise
-    numpy adds the j terms one at a time onto +0.0; a running sum along j
-    gives the same bits without the transposing copy, and ``+ 0.0`` is the
-    +0.0 start (it changes only an all -0.0 total, to +0.0).
+    The order is lexicographic over coordinates, coordinate 0 first, on a
+    total order of the float64 bit patterns: -0.0 sorts before +0.0, and
+    points with equal keys are bitwise equal, so the sorted points do not
+    depend on the order they came in.
     """
-    if pairs.shape[-1] == 1:
-        return np.sum(np.ascontiguousarray(pairs), axis=-2)
-    return np.cumsum(pairs, axis=-2)[..., -1, :] + 0.0
+    bits = points_cm.view(np.int64)
+    keys = bits ^ ((bits >> 63) & np.int64(np.iinfo(np.int64).max))
+    return np.lexsort(keys[::-1], axis=-1)
 
 
 def _pair_sums(grad_w, positions, queries, width=None):
@@ -307,15 +306,16 @@ def _pair_sums(grad_w, positions, queries, width=None):
 
     ``grad_w`` returns ``(..., B, N, width)`` terms; ``width`` defaults to d
     (forces), and pair energies pass 1.  Both point sets are copied once
-    into coordinate-major memory, so the strided views handed to ``grad_w``
-    produce pair arrays whose j axis is contiguous for every coordinate.
-    Query rows are taken B at a time, with (batch size) * B * N * d <=
-    ``_PAIR_BLOCK``: memory is O(B N d) instead of O(N^2 d).  Every row
-    still sorts all N contributions before summing, so blocking does not
-    change a bit.
+    into coordinate-major memory, the particles in :func:`_canonical_order`,
+    so the strided views handed to ``grad_w`` produce pair arrays whose j
+    axis is contiguous for every coordinate, and each row is numpy's
+    pairwise sum over j in that one order.  Query rows are taken B at a
+    time, with (batch size) * B * N * d <= ``_PAIR_BLOCK``: memory is
+    O(B N d) instead of O(N^2 d), and blocking does not change a bit.
     """
-    cols_cm = _coordinate_major(positions)
-    rows_cm = cols_cm if queries is positions else _coordinate_major(queries)
+    rows_cm = _coordinate_major(queries)
+    cols_cm = rows_cm if queries is positions else _coordinate_major(positions)
+    cols_cm = np.take_along_axis(cols_cm, _canonical_order(cols_cm)[None], axis=-1)
     rows = np.moveaxis(rows_cm[..., :, None], 0, -1)
     cols = np.moveaxis(cols_cm[..., None, :], 0, -1)
     batch = np.broadcast_shapes(rows_cm.shape[1:-1], cols_cm.shape[1:-1])
@@ -325,10 +325,8 @@ def _pair_sums(grad_w, positions, queries, width=None):
     # the N=1024 pair force run grew by 0.5 MB
     out = np.empty(batch + (n_rows, width or d))
     for start in range(0, n_rows, block):
-        # keeping ``pairs`` bound until reassigned is 1.5x faster (N=1024,
-        # d=2) than freeing it right after the sort
         pairs = grad_w(rows[..., start:start + block, :, :], cols)
-        out[..., start:start + block, :] = _sum_sorted_pairs(np.sort(pairs, axis=-2))
+        out[..., start:start + block, :] = np.add.reduce(pairs, axis=-2)
     return out
 
 
@@ -365,14 +363,15 @@ def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pai
     The force field at query q is ``grad_v(q) + mean_j grad_w(q, x_j)``.
     ``grad_v(x)`` and ``grad_w(x, y)`` (gradient in the first argument) must
     broadcast over leading axes.  ``grad_w`` and ``w`` receive strided views
-    of ``(..., B, 1, d)`` query rows and ``(..., 1, N, d)`` particles; they
-    must act elementwise over the leading axes and may reduce only over the
-    last (coordinate) axis.  Pair sums are taken B query rows at a time, so
-    forces and energy need O(B N d) memory.  The self-interaction term
-    j = i is kept, matching the empirical-measure definition of the force.
-    ``v``/``w`` enable the energy, whose pair part is an ordered sum over
-    rows of each row's sorted sum over j; on the torus the callables
-    themselves are responsible for periodicity.
+    of ``(..., B, 1, d)`` query rows and ``(..., 1, N, d)`` particles, the
+    particles in canonical order (sorted by their coordinates' bits), not in
+    the order of ``positions``; they must act elementwise over the leading
+    axes and may reduce only over the last (coordinate) axis.  Pair sums are
+    taken B query rows at a time, so forces and energy need O(B N d) memory.
+    The self-interaction term j = i is kept, matching the empirical-measure
+    definition of the force.  ``v``/``w`` enable the energy, whose pair part
+    is an ordered sum over rows of each row's sum over j in canonical order;
+    on the torus the callables themselves are responsible for periodicity.
     :func:`gauss_attract_repel_model` is built on this function.
     """
 

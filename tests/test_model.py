@@ -367,8 +367,27 @@ def test_torus_positions_stay_canonical(torus_model):
 
 
 # Reference pair sums: the hand-written closures the Gaussian and torus
-# models were first defined with.  The Gaussian model and the torus pair
-# model below must reproduce them exactly.
+# models were first defined with.  Forces sum each row's N pair terms over j
+# in one canonical particle order: lexicographic over coordinates, on the
+# float64 bit patterns mapped to integers in value order (-0.0 before +0.0).
+# The Gaussian model and the torus pair model below must reproduce them
+# exactly.
+
+
+def _canonical_particles(positions):
+    """``positions`` with each system's particles in canonical order."""
+    bits = positions.view(np.int64)
+    keys = np.where(bits < 0, bits ^ np.iinfo(np.int64).max, bits)
+    n = positions.shape[-2]
+    order = [sorted(range(n), key=rows.__getitem__)
+             for rows in keys.reshape((-1,) + keys.shape[-2:]).tolist()]
+    order = np.array(order, dtype=np.intp).reshape(positions.shape[:-1])
+    return np.take_along_axis(positions, order[..., None], axis=-2)
+
+
+def _sum_over_j(pair):
+    """Sum ``(..., N, d)`` pair terms over N, along a contiguous last axis."""
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(pair, -2, -1)), axis=-1)
 
 
 def _reference_gauss(big_l, s, r):
@@ -380,13 +399,15 @@ def _reference_gauss(big_l, s, r):
         return (-2.0 * big_l) * np.exp(-sq) * delta + 2.0 * s * delta
 
     def force(positions, x):
-        pair = pair_grad(np.broadcast_to(x, positions.shape), positions)
-        return r * x + ordered_sum(pair, axis=-2) / positions.shape[-2]
+        cols = _canonical_particles(positions)
+        pair = pair_grad(np.broadcast_to(x, positions.shape), cols)
+        return r * x + _sum_over_j(pair) / positions.shape[-2]
 
     def force_all(positions):
         n = positions.shape[-2]
-        pair = pair_grad(positions[..., :, None, :], positions[..., None, :, :])
-        return r * positions + ordered_sum(pair, axis=-2) / n
+        cols = _canonical_particles(positions)
+        pair = pair_grad(positions[..., :, None, :], cols[..., None, :, :])
+        return r * positions + _sum_over_j(pair) / n
 
     def energy(positions):
         n = positions.shape[-2]
@@ -412,13 +433,15 @@ def _reference_torus(a, b, space):
         return -two_pi * b * np.sin(two_pi * space.min_image(x - y))
 
     def force(positions, x):
-        pair = pair_grad(np.broadcast_to(x, positions.shape), positions)
-        return grad_v(x) + ordered_sum(pair, axis=-2) / positions.shape[-2]
+        cols = _canonical_particles(positions)
+        pair = pair_grad(np.broadcast_to(x, positions.shape), cols)
+        return grad_v(x) + _sum_over_j(pair) / positions.shape[-2]
 
     def force_all(positions):
         n = positions.shape[-2]
-        pair = pair_grad(positions[..., :, None, :], positions[..., None, :, :])
-        return grad_v(positions) + ordered_sum(pair, axis=-2) / n
+        cols = _canonical_particles(positions)
+        pair = pair_grad(positions[..., :, None, :], cols[..., None, :, :])
+        return grad_v(positions) + _sum_over_j(pair) / n
 
     def energy(positions):
         n = positions.shape[-2]
@@ -462,10 +485,11 @@ def test_pair_models_match_reference_sums(variant, d):
         assert np.array_equal(model.force_all(system), force_all(system))
         for row in system:
             assert np.array_equal(model.force(system, row), force(system, row))
-    # the model sums each row's sorted pair terms and then the rows, the
-    # reference sorts all N^2 terms at once: they agree to rounding, within a
-    # few ulps of the sum of the terms' magnitudes (the torus energy can
-    # cancel to near zero, so a bound relative to the energy itself can too)
+    # the model sums each row's pair terms in canonical particle order and
+    # then the rows, the reference sorts all N^2 terms at once: they agree to
+    # rounding, within a few ulps of the sum of the terms' magnitudes (the
+    # torus energy can cancel to near zero, so a bound relative to the energy
+    # itself can too)
     delta = x[..., :, None, :] - x[..., None, :, :]
     if variant == "gauss":
         ext = 0.5 * 1.3 * np.sum(x * x, axis=-1)
@@ -585,12 +609,83 @@ def test_gauss_pair_grad_matches_expression_bitwise(big_l, s, coordinate_major, 
         assert _same_bytes(pair_grad(x, y), expected)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [300, 1024])
+def test_gauss_pair_sums_are_accurate(n, d, monkeypatch):
+    # each row's pair sum is within 4 eps sum_j |T_ij| of the correctly
+    # rounded sum of the same terms (math.fsum); summing each row's sorted
+    # terms one at a time reached 15.0 eps sum_j |T_ij| on these rows at d = 2
+    import mfkl.model
+
+    pair_sums = mfkl.model._pair_sums
+    pair_grad = _captured_pair_grad(m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=d), d,
+                                    monkeypatch)
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        x = m.RngStream(100 * n + 10 * d + seed).normal_matrix((n, d))
+        terms = _gauss_pair_grad_expression(1.0, 0.1)(x[:, None, :], x[None, :, :])
+        exact = [[math.fsum(t) for t in row] for row in np.moveaxis(terms, -2, -1).tolist()]
+        error = np.abs(pair_sums(pair_grad, x, x) - np.array(exact))
+        assert np.all(error <= 4.0 * eps * np.sum(np.abs(terms), axis=-2)), seed
+
+
 def test_blocked_torus_force_keeps_signed_zeros():
     # all particles at 0: every pair term and the confinement are -0.0
     model = _torus_pair_model(0.3, 0.2, 2)
     _, force_all, _ = _reference_torus(0.3, 0.2, model.space)
     x = np.zeros((3, 5, 2))
     assert _same_bytes(model.force_all(x), force_all(x))
+
+
+def _batched_tie_case():
+    # three systems, each the same ten particles (ties and signed zeros
+    # among them) in its own order
+    cases = _tie_cases()
+    base = np.concatenate([cases["duplicates"][:6], cases["signed_zeros"][:4]])
+    rs = np.random.RandomState(5)
+    return base, np.stack([rs.permutation(10) for _ in range(3)])
+
+
+def _tie_cases():
+    rng = m.RngStream(77)
+    dup = rng.normal_matrix((12, 2))
+    dup[[5, 7]], dup[9] = dup[2], dup[1]
+    shared = rng.normal_matrix((12, 2))
+    shared[:6, 0] = 0.3  # ties on the first coordinate only
+    zeros = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, 0.0], [0.5, -0.0], [-0.0, -0.0],
+                      [0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [0.5, 0.0]])
+    return {"duplicates": dup, "shared_first_coordinate": shared, "signed_zeros": zeros,
+            "coincident_plus_zero": np.zeros((6, 2)),
+            "coincident_minus_zero": np.full((6, 2), -0.0)}
+
+
+@pytest.mark.parametrize("case", sorted(_tie_cases()) + ["batched"])
+@pytest.mark.parametrize("variant", ["gauss", "torus"])
+def test_canonical_order_ties_and_signed_zeros_bitwise(variant, case, monkeypatch):
+    import mfkl.model
+
+    if case == "batched":
+        base, perms = _batched_tie_case()
+        x = base[perms]
+    else:
+        x = _tie_cases()[case]
+    if variant == "gauss":
+        model = m.gauss_attract_repel_model(0.9, 0.15, 1.3, d=2)
+    else:
+        model = _torus_pair_model(0.3, 0.2, 2)
+    grad = model.force_all(x)
+    rs = np.random.RandomState(6)
+    for sigma in (rs.permutation(x.shape[-2]) for _ in range(4)):
+        assert _same_bytes(model.force_all(x[..., sigma, :]), grad[..., sigma, :])
+    if case == "batched":
+        assert _same_bytes(grad, model.force_all(base)[perms])
+    d = x.shape[-1]
+    for system, rows in zip(x.reshape(-1, x.shape[-2], d), grad.reshape(-1, x.shape[-2], d)):
+        for particle, row in zip(system, rows):
+            assert _same_bytes(model.force(system, particle), row)
+    for values in (x.size, x.size * x.shape[-2]):  # one query row, every row
+        monkeypatch.setattr(mfkl.model, "_PAIR_BLOCK", values)
+        assert _same_bytes(model.force_all(x), grad)
 
 
 # (N, d) with a batch axis of two systems; N = 1024 stays at d = 1 to keep

@@ -8,6 +8,7 @@ coordinate-minor, which together with the keyed stream in :mod:`mfkl.rng`
 fixes the meaning of "same seed" exactly.
 """
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -91,6 +92,15 @@ def verlet_step(model, state, h):
     return ParticleState(x_new, v_new, state.space)
 
 
+def _transition(model, space, x, v, noise, params, g0):
+    """Raw-array transition: the refresh ``eta v + sqrt(1 - eta^2) noise``,
+    then :func:`_verlet` from the leading gradient ``g0``; returns
+    ``(x_new, v_new, g1)``, broadcasting over leading axes."""
+    eta = params.eta
+    v = eta * v + math.sqrt(1.0 - eta * eta) * noise
+    return _verlet(model, space, x, v, params.h, g0)
+
+
 def refresh_velocities(state, eta, rng=None, gaussians=None):
     """Partial Gaussian refresh: v <- eta v + sqrt(1 - eta^2) G.
 
@@ -147,38 +157,32 @@ def run_chain(model, init, params, observers=(), rng=None):
     observer's collected records.  The trailing Verlet gradient is reused as
     the next leading gradient (the refresh does not move positions), which
     is bitwise identical to the naive two-evaluations-per-step kernel.  The
-    loop works on raw arrays: the refresh inline, then :func:`_verlet`, the
-    step under :func:`verlet_step`.
+    loop works on raw arrays: each step is one :func:`_transition`, and
+    observers see steps 0 (the initial state) to ``n_steps``.
     """
     if rng is None:
         rng = RngStream(params.master_seed)
     warn_if_step_large(params, model.coeffs)
-    if init.space.d != model.space.d or init.space.kind != model.space.kind:
+    if init.space != model.space:
         raise ConfigurationError("initial state does not live in the model's space")
-    for obs in observers:
-        obs.notify(0, init.readonly_view())
 
-    x = init.positions.copy()
-    v = init.velocities.copy()
-    space = init.space
-    eta = params.eta
-    sigma = np.sqrt(1.0 - eta * eta)
-    h = params.h
-    gradient = None
-    for step in range(1, params.n_steps + 1):
-        v = eta * v + sigma * rng.normal_matrix(v.shape)
-        if gradient is None:
-            gradient = potential_gradient(model, x)
-        try:
-            x, v, gradient = _verlet(model, space, x, v, h, gradient)
-        except NumericalDomainError as err:
-            raise NumericalDomainError(f"step {step}: {err}") from err
-        bad = _first_non_finite(v, x)
-        if bad is not None:
-            name = ("velocities", "positions")[bad[0]]
-            raise NumericalDomainError(f"step {step}: non-finite {name}")
+    x, v, space = init.positions.copy(), init.velocities.copy(), init.space
+    if params.n_steps:
+        gradient = potential_gradient(model, x)
+    for step in range(params.n_steps + 1):
+        if step:
+            try:
+                x, v, gradient = _transition(
+                    model, space, x, v, rng.normal_matrix(v.shape), params, gradient
+                )
+            except NumericalDomainError as err:
+                raise NumericalDomainError(f"step {step}: {err}") from err
+            bad = _first_non_finite(v, x)
+            if bad is not None:
+                name = ("velocities", "positions")[bad[0]]
+                raise NumericalDomainError(f"step {step}: non-finite {name}")
         if observers:
-            # x and v are fresh arrays of the validated shape, already
+            # x and v are copies or fresh arrays of the validated shape,
             # wrapped and finite: no ParticleState validation is needed
             snapshot = readonly_state(x, v, space)
             for obs in observers:
@@ -207,28 +211,25 @@ def _initial_law(law, space):
         point = _law_point(law, "at", d)
         if space.is_torus and ((point < 0.0).any() or (point >= 1.0).any()):
             raise ConfigurationError("point mass must lie in [0,1)^d on the torus")
+        positions = lambda n, rng: np.tile(point, (n, 1))
     elif kind == "gaussian":
         if space.is_torus and not law.get("wrap", False):
             raise ConfigurationError("gaussian initial positions on the torus need wrap=true")
         mean, std = _law_point(law, "mean", d), float(law.get("std", 1.0))
         if not std >= 0.0:
             raise ConfigurationError(f"init.std must be nonnegative, got {std}")
+        positions = lambda n, rng: space.wrap(mean + std * rng.normal_matrix((n, d)))
     elif kind == "uniform":
         if not space.is_torus:
             raise ConfigurationError("uniform initial positions are torus-only")
+        positions = lambda n, rng: rng.uniforms(n * d).reshape(n, d)
     else:
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
 
     def draw(n, rng):
         if n < 1:
             raise ConfigurationError("need at least one particle")
-        if kind == "point":
-            positions = np.tile(point, (n, 1))
-        elif kind == "gaussian":
-            positions = space.wrap(mean + std * rng.normal_matrix((n, d)))
-        else:
-            positions = rng.uniforms(n * d).reshape(n, d)
-        return ParticleState(positions, rng.normal_matrix((n, d)), space)
+        return ParticleState(positions(n, rng), rng.normal_matrix((n, d)), space)
 
     return draw
 

@@ -9,11 +9,12 @@ every output byte for byte.  Timestamps appear only in the report index.
 import json
 import math
 import os
+import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 from .chain import ChainParams, Observer, _initial_law, run_chain, run_replicas, sample_initial
 from .errors import ConfigurationError, MissingArtifactError
@@ -54,27 +55,21 @@ _TABLE_HEADER = ("parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass
 
 
 def validate_config(config):
-    """Strict-schema validation, then no NaN or infinite number anywhere;
-    raises with the offending field path."""
+    """Strict-schema validation, where a ``number`` is an int or float within
+    float64 range (no bool, NaN or infinity) and an ``integer`` is such an
+    int (not 4.0); raises with the offending field path."""
     errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
-        raise ConfigurationError(f"config invalid at {first.json_path}: {first.message}")
-    _require_finite(config, "$")
+        message, value = first.message, first.instance
+        if _is_real(value) and not abs(value) <= sys.float_info.max:
+            message = "not a finite number"  # NaN, an infinity or past float64
+        raise ConfigurationError(f"config invalid at {first.json_path}: {message}")
     return config
 
 
-def _require_finite(value, path):
-    """Python's JSON reader accepts NaN and Infinity, and the schema's number
-    checks let them through."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(f"config invalid at {path}: not a finite number")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{path}[{i}]")
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _read_json(path, error, what):
@@ -577,7 +572,13 @@ _SCHEMA = _object({
     "d": _POS_INT,
 }, "kind")
 
-_VALIDATOR = Draft202012Validator(_SCHEMA)
+# Python's JSON reader accepts NaN, Infinity and integers of any size, and
+# jsonschema's own types count all of them as numbers and 4.0 as an integer
+_TYPES = Draft202012Validator.TYPE_CHECKER.redefine_many({
+    "number": lambda checker, v: _is_real(v) and abs(v) <= sys.float_info.max,
+    "integer": lambda checker, v: isinstance(v, int) and checker.is_type(v, "number"),
+})
+_VALIDATOR = validators.extend(Draft202012Validator, type_checker=_TYPES)(_SCHEMA)
 
 
 def run_experiment(config, out_dir=None, seed=None, threads=None):
@@ -618,7 +619,8 @@ def emit_report(results_dir):
     """Summarize an experiment directory: pass/fail text plus a file index.
 
     Returns the report text.  Raises :class:`MissingArtifactError` when the
-    directory lacks its kind's result file, or its config names no known kind.
+    directory lacks its kind's result file, its config names no known kind,
+    or its config or a JSON result file cannot be read as a JSON object.
     """
     if not os.path.isdir(results_dir):
         raise MissingArtifactError(f"no results directory {results_dir!r}")
@@ -642,22 +644,18 @@ def emit_report(results_dir):
         raise MissingArtifactError(
             f"{results_dir!r} lacks {result_file}; the {kind} run did not finish"
         )
-    lines = [f"experiment: {kind}"]
-    if result_file == "summary.json":
-        summary = _read_json(
-            os.path.join(results_dir, result_file), MissingArtifactError, "result file"
-        )
-        verdict = summary.get("pass")
-        if verdict is not None:
-            lines.append("PASS" if verdict else "FAIL")
-        if not summary.get("pass", True) and summary.get("failures"):
-            for failure in summary["failures"]:
-                lines.append("  failed: " + json.dumps(failure, sort_keys=True))
-        for key in ("slope", "rate", "r_squared", "rate_gate", "tv_floor"):
-            if key in summary:
-                lines.append(f"  {key} = {summary[key]}")
-    else:
-        lines.append("OK (no gates declared)")
+    path, summary = os.path.join(results_dir, result_file), {}
+    if path.endswith(".json"):  # as run_experiment tells which result files are JSON
+        summary = _read_json(path, MissingArtifactError, "result file")
+    verdict = summary.get("pass")
+    lines = [f"experiment: {kind}",
+             "OK (no gates declared)" if verdict is None else "PASS" if verdict else "FAIL"]
+    if not summary.get("pass", True) and summary.get("failures"):
+        for failure in summary["failures"]:
+            lines.append("  failed: " + json.dumps(failure, sort_keys=True))
+    for key in ("slope", "rate", "r_squared", "rate_gate", "tv_floor"):
+        if key in summary:
+            lines.append(f"  {key} = {summary[key]}")
     report_text = "\n".join(lines) + "\n"
     with open(os.path.join(results_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report_text)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _verlet
+from .chain import _transition
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -106,15 +106,15 @@ class DriftReport:
 
 
 def kernel_values_monte_carlo(model, state, params, spec, m_draws, rng):
-    """Lyapunov values after one kernel step, one per refresh draw."""
+    """Lyapunov values after one kernel step, one per refresh draw: the
+    chain's own transition, broadcast over ``(m_draws, N, d)`` draws."""
     if m_draws < 1000:
         raise ConfigurationError("use at least 1000 Monte Carlo draws")
-    n, d = state.positions.shape
-    gaussians = rng.normal_matrix((m_draws, n, d))
-    eta = params.eta
-    v_mid = eta * state.velocities + math.sqrt(1.0 - eta * eta) * gaussians
+    gaussians = rng.normal_matrix((m_draws, *state.positions.shape))
     g0 = potential_gradient(model, state.positions)
-    x_new, v_new, _ = _verlet(model, state.space, state.positions, v_mid, params.h, g0)
+    x_new, v_new, _ = _transition(
+        model, state.space, state.positions, state.velocities, gaussians, params, g0
+    )
     return _values_batched(spec, x_new, v_new)
 
 

@@ -633,10 +633,21 @@ def test_lyapunov_check_chain_fields_exit_2(tmp_path, chain, seed_args, message)
     assert not (out / "drift.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["config.json", "summary.json"])
+# config.json and every JSON result file, each in a directory of a kind that has it
+_JSON_FILE_KINDS = {"config.json": "sweep_h", "summary.json": "sweep_h",
+                    "risk.json": "risk", "constants.json": "constants"}
+
+
+def _finished_run(tmp_path, name):
+    """A finished run's config.json and result file, of a kind that has ``name``."""
+    kind = _JSON_FILE_KINDS[name]
+    write_json(tmp_path / "config.json", {"kind": kind})
+    write_json(tmp_path / _KINDS[kind][2], {"experiment": kind, "pass": True})
+
+
+@pytest.mark.parametrize("name", _JSON_FILE_KINDS)
 def test_report_on_corrupt_result_file_exit_5(tmp_path, name):
-    write_json(tmp_path / "config.json", {"kind": "sweep_h"})
-    write_json(tmp_path / "summary.json", {"experiment": "sweep_h", "pass": True})
+    _finished_run(tmp_path, name)
     (tmp_path / name).write_text('{"kind": "swe')
     with pytest.raises(MissingArtifactError, match=name):
         emit_report(str(tmp_path))
@@ -646,11 +657,10 @@ def test_report_on_corrupt_result_file_exit_5(tmp_path, name):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("name", ["config.json", "summary.json"])
+@pytest.mark.parametrize("name", _JSON_FILE_KINDS)
 @pytest.mark.parametrize("content", ["[1]", '"x"'])
 def test_report_on_non_object_result_file_exit_5(tmp_path, name, content):
-    write_json(tmp_path / "config.json", {"kind": "sweep_h"})
-    write_json(tmp_path / "summary.json", {"experiment": "sweep_h", "pass": True})
+    _finished_run(tmp_path, name)
     (tmp_path / name).write_text(content)
     with pytest.raises(MissingArtifactError, match=name):
         emit_report(str(tmp_path))
@@ -759,6 +769,8 @@ def test_missing_required_field_exit_2_before_any_output(tmp_path):
     ("constants", {"lsi": {"rho_bar": 1, "mmm": 0.1, "alpha_n": math.nan}}, "$.lsi.alpha_n"),
     ("sweep_h", {"burn_in": math.nan}, "$.burn_in"),
     ("lyapunov_check", {"state_scales": [math.nan]}, "$.state_scales[0]"),
+    ("risk", {"oracle_mean": 10**400}, "$.oracle_mean"),
+    ("sample", {"n_particles": 10**400}, "$.n_particles"),
 ])
 def test_non_finite_config_number_exit_2_naming_it(tmp_path, kind, entries, path):
     out = tmp_path / "out"
@@ -815,6 +827,13 @@ _TORUS = {"variant": "torus_trig", "a": 0.3, "b": 0.2, "d": 1}
     ("converge", {"stride": 5}, "at least 10 points to fit a rate"),
     # a gate that no slope can pass
     ("sweep_h", {"slope_gate": [3.0, 1.0]}, "slope_gate"),
+    # integer fields given as floats
+    ("sample", {"n_particles": 4.0}, "$.n_particles: 4.0 is not of type 'integer'"),
+    ("sample", {"chain": {**_FLAT_CONVEX_SAMPLE["chain"], "n_steps": 5.0}},
+     "$.chain.n_steps: 5.0 is not of type 'integer'"),
+    ("risk", {"reps": 8.0}, "$.reps: 8.0 is not of type 'integer'"),
+    ("converge", {"stride": 2.0}, "$.stride: 2.0 is not of type 'integer'"),
+    ("sweep_N", {"n_grid": [4, 8.0]}, "$.n_grid[1]: 8.0 is not of type 'integer'"),
 ])
 def test_driver_config_error_exit_2_before_any_output(tmp_path, kind, entries, message):
     out = tmp_path / "out"

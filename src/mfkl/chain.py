@@ -10,7 +10,6 @@ fixes the meaning of "same seed" exactly.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,15 +239,14 @@ def sample_initial(law, n_particles, space, rng):
     return _initial_law(law, space)(n_particles, rng)
 
 
-def run_replicas(model, init_law, n_particles, params, reps, observe=None, stride=1,
-                 threads=1):
+def run_replicas(model, init_law, n_particles, params, reps, observe=None, stride=1):
     """Chain replicas ``0 .. reps-1``: the one place replica seeds are derived.
 
     Replica ``k`` draws its initial state from ``init_law`` on the stream
     seeded ``derive_seed(master_seed, k)``, then continues that stream in
     :func:`run_chain`, observed by ``Observer(observe, stride)`` if given.
-    Returns ``(final_state, records)`` per replica in replica order, so
-    results do not depend on ``threads``, the size of the worker pool.
+    Replicas run one after another in the calling thread.  Returns
+    ``(final_state, records)`` per replica in replica order.
     """
     draw = _initial_law(init_law, model.space)  # parsed once, for every replica
 
@@ -259,7 +257,4 @@ def run_replicas(model, init_law, n_particles, params, reps, observe=None, strid
         final, records = run_chain(model, init, params, observers, rng)
         return final, records[0] if records else []
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(replica, range(reps)))
     return [replica(k) for k in range(reps)]

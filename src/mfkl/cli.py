@@ -2,12 +2,12 @@
 
 Usage::
 
-    mfkl <kind> --config path.json [--seed U64] [--out DIR] [--threads K]
+    mfkl <kind> --config path.json [--seed U64] [--out DIR]
     mfkl report --out DIR
 
 Kinds are the experiment kinds of :mod:`mfkl.harness`; ``report``
 summarizes a finished experiment directory.  ``--seed`` overrides the
-config seed and ``MFKL_THREADS`` is the fallback for ``--threads``.
+config seed.  Replica experiments run their replicas one after another.
 Exit codes: 1 the diagnostic is unavailable for this model, or an internal
 invariant or observer failed; 2 bad config (including an unreadable or
 non-JSON config file); 3 numerical domain error; 4 non-convergence;
@@ -30,7 +30,6 @@ def build_parser():
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--threads", type=int, help="worker threads for replicas")
     return parser
 
 
@@ -49,7 +48,7 @@ def main(argv=None):
             raise ConfigurationError(
                 f"config kind {config['kind']!r} does not match CLI kind {args.kind!r}"
             )
-        run_experiment(config, out_dir=args.out, seed=args.seed, threads=args.threads)
+        run_experiment(config, out_dir=args.out, seed=args.seed)
         return 0
     except MfklError as err:
         sys.stderr.write(f"mfkl: {err}\n")

@@ -188,19 +188,6 @@ def _chain_model(config):
     return model, _initial_law(config["init"], model.space)
 
 
-def resolve_threads(explicit=None):
-    """--threads flag, else the MFKL_THREADS environment variable, else 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("MFKL_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigurationError(f"MFKL_THREADS must be an integer, got {env!r}") from None
-
-
 def decaying_segment(tv_series, floor):
     """Index range of the geometric decay: drop the saturated head (TV at or
     above 0.85, near its maximum of 1) and the tail that has reached the
@@ -216,15 +203,14 @@ def decaying_segment(tv_series, floor):
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds: one prepare step each, ``prepare(config, threads)``,
-# where threads sizes the worker pool of the replica kinds.  It parses the
-# whole config and builds everything that can reject it (model, chain
+# experiment kinds: one prepare step each, ``prepare(config)``.  It parses
+# the whole config and builds everything that can reject it (model, chain
 # parameters, oracle capability and grid, observable, initial law, gates),
 # draws nothing, and returns ``run(out_dir) -> payload``.  A kind with a
 # JSON result file has that payload written there with the config.
 
 
-def _prepare_sample(config, threads):
+def _prepare_sample(config):
     params = _chain_params(config)
     model, draw = _chain_model(config)
     n_particles, stride = config["n_particles"], config.get("stride", 1)
@@ -252,7 +238,7 @@ def _prepare_sample(config, threads):
     return run
 
 
-def _prepare_sweep_h(config, threads):
+def _prepare_sweep_h(config):
     h_grid = _require_sweep_grid(config, "h_grid")
     first_kept = _first_kept_step(config)
     per_h = [_chain_params(config, h) for h in h_grid]
@@ -278,9 +264,7 @@ def _prepare_sweep_h(config, threads):
         value = oracle_value()
         rows, biases = [], []
         for params in per_h:
-            runs = run_replicas(
-                model, config["init"], n_particles, params, reps, visit, stride, threads
-            )
+            runs = run_replicas(model, config["init"], n_particles, params, reps, visit, stride)
             # each replica's time average over its post-burn-in records
             estimates = np.asarray(
                 [float(np.mean([v for v in records if v is not None])) for _, records in runs]
@@ -304,7 +288,7 @@ def _prepare_sweep_h(config, threads):
     return run
 
 
-def _prepare_sweep_n(config, threads):
+def _prepare_sweep_n(config):
     n_grid = _require_sweep_grid(config, "n_grid")
     params = _chain_params(config)
     _require_replicas(config["reps"])
@@ -315,7 +299,7 @@ def _prepare_sweep_n(config, threads):
         estimates = [
             quadratic_risk(
                 model, f, params, n_particles, config["reps"],
-                config["oracle_mean"], config["init"], f_id=obs_id, threads=threads,
+                config["oracle_mean"], config["init"], f_id=obs_id,
             )
             for n_particles in n_grid
         ]
@@ -333,7 +317,7 @@ def _prepare_sweep_n(config, threads):
     return run
 
 
-def _prepare_converge(config, threads):
+def _prepare_converge(config):
     params = _chain_params(config)
     model, _ = _chain_model(config)
     density = _oracle_density(config, model)
@@ -346,7 +330,7 @@ def _prepare_converge(config, threads):
         reference = density()
         runs = run_replicas(
             model, config["init"], config["n_particles"], params, config.get("reps", 64),
-            lambda step, state: state.positions[:, 0].copy(), stride, threads,
+            lambda step, state: state.positions[:, 0].copy(), stride,
         )
         rows, tv_series = [], []
         # every replica records the first coordinates at steps 0, stride, 2 stride, ...
@@ -388,7 +372,7 @@ def _random_states(model, n_particles, scales, n_states, rng):
     return states
 
 
-def _prepare_lyapunov_check(config, threads):
+def _prepare_lyapunov_check(config):
     per_h = [_chain_params(config, h) for h in config["h_grid"]]
     model = make_builtin_model(config["model"])
     gamma, seed = per_h[0].gamma, per_h[0].master_seed
@@ -437,7 +421,7 @@ def _prepare_lyapunov_check(config, threads):
     return run
 
 
-def _prepare_oracle(config, threads):
+def _prepare_oracle(config):
     density = _oracle_density(config, make_builtin_model(config["model"]))
 
     def run(out_dir):
@@ -449,7 +433,7 @@ def _prepare_oracle(config, threads):
     return run
 
 
-def _prepare_constants(config, threads):
+def _prepare_constants(config):
     """Closed-form arithmetic only, so the payload is computed here."""
     payload = asdict(contraction_constants(
         config["gamma"], config["rho"],
@@ -467,7 +451,7 @@ def _prepare_constants(config, threads):
     return lambda out_dir: payload
 
 
-def _prepare_risk(config, threads):
+def _prepare_risk(config):
     params = _chain_params(config)
     _require_replicas(config["reps"])
     model, _ = _chain_model(config)
@@ -478,7 +462,7 @@ def _prepare_risk(config, threads):
         value = oracle_value()
         estimate = quadratic_risk(
             model, f, params, config["n_particles"], config["reps"],
-            value, config["init"], f_id=obs_id, threads=threads,
+            value, config["init"], f_id=obs_id,
         )
         return {
             "value": estimate.value,
@@ -581,18 +565,21 @@ _TYPES = Draft202012Validator.TYPE_CHECKER.redefine_many({
 _VALIDATOR = validators.extend(Draft202012Validator, type_checker=_TYPES)(_SCHEMA)
 
 
-def run_experiment(config, out_dir=None, seed=None, threads=None):
+def run_experiment(config, out_dir=None, seed=None, threads=1):
     """Run one experiment described by a validated config mapping.
 
     ``seed`` overrides the config seed; outputs land in ``out_dir`` (or the
     config's ``out_dir``).  Returns the summary payload of the experiment;
     a kind with a JSON result file writes that payload there with the config.
-    The schema, the kind's required fields, ``MFKL_THREADS`` and the kind's
-    prepare step, which parses the rest of the config, all run before the
-    output directory is made, so every :class:`ConfigurationError`, and the
+    Replicas run one after another, so ``threads`` must be 1.  That check,
+    the schema, the kind's required fields and the kind's prepare step,
+    which parses the rest of the config, all run before the output
+    directory is made, so every :class:`ConfigurationError`, and the
     :class:`CapabilityError` of a model the fixed-point oracle cannot take,
     is raised while no file exists.
     """
+    if threads != 1:
+        raise ConfigurationError(f"replicas run in one thread, got threads={threads!r}")
     config = validate_config(dict(config))
     if seed is not None:
         config["chain"] = {**config.get("chain", {}), "seed": int(seed)}
@@ -602,11 +589,10 @@ def run_experiment(config, out_dir=None, seed=None, threads=None):
         raise ConfigurationError(
             f"config kind {config['kind']!r} requires field(s): {', '.join(missing)}"
         )
-    threads = resolve_threads(threads)
     out_dir = out_dir or config.get("out_dir")
     if not out_dir:
         raise ConfigurationError("no output directory given (config out_dir or --out)")
-    run = prepare(config, threads)
+    run = prepare(config)
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "config.json"), config)
     payload = run(out_dir)

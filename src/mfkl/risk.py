@@ -39,17 +39,15 @@ def quadratic_risk(
     oracle_mean,
     init_law,
     f_id="f",
-    threads=1,
 ):
     """Mean squared error of ``mean_i f(X_i)`` at the final step.
 
     ``f`` maps a positions array (N, d) to per-particle values (N,).  Each
-    replica runs on seed ``derive(master_seed, k)``; the estimate and its
-    standard error are aggregated in replica order, so results do not
-    depend on scheduling.
+    replica runs on seed ``derive(master_seed, k)``, one after another, and
+    the estimate and its standard error are aggregated in replica order.
     """
     _require_replicas(reps)
-    runs = run_replicas(model, init_law, n_particles, params, reps, threads=threads)
+    runs = run_replicas(model, init_law, n_particles, params, reps)
     estimates = [float(np.mean(np.asarray(f(final.positions), dtype=float))) for final, _ in runs]
     sq_errors = (np.asarray(estimates) - oracle_mean) ** 2
     value = float(np.mean(sq_errors))

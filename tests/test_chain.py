@@ -415,8 +415,7 @@ class TestSampleInitial:
 
 
 class TestRunReplicas:
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_matches_hand_loop_bitwise(self, quad_interacting, threads):
+    def test_matches_hand_loop_bitwise(self, quad_interacting):
         from mfkl.chain import run_replicas
 
         params = ChainParams(h=0.05, gamma=1.0, n_steps=30, master_seed=77)
@@ -425,7 +424,7 @@ class TestRunReplicas:
         def observe(step, state):
             return step, state.positions.copy(), state.velocities.copy()
 
-        runs = run_replicas(quad_interacting, law, 5, params, 4, observe, 7, threads)
+        runs = run_replicas(quad_interacting, law, 5, params, 4, observe, 7)
         assert len(runs) == 4
         for k, (final, records) in enumerate(runs):
             rng = RngStream(m.derive_seed(77, k))

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -482,18 +481,6 @@ class TestCli:
         assert result.returncode == 2
         assert "--config" in result.stderr
 
-    def test_malformed_threads_env_exit_2(self, tmp_path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"kind": "constants", "gamma": 1.0, "rho": 1.0}))
-        env = {**os.environ, "MFKL_THREADS": "two"}
-        result = subprocess.run(
-            [sys.executable, "-m", "mfkl.cli", "constants", "--config", str(config_path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
-        )
-        assert result.returncode == 2
-        assert "MFKL_THREADS" in result.stderr
-
     def test_kind_mismatch_exit_2(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({"kind": "constants", "gamma": 1.0, "rho": 1.0}))
@@ -532,20 +519,6 @@ class TestCli:
         result = run_cli("report", "--out", str(tmp_path / "empty"))
         assert result.returncode == 5
 
-    def test_threads_env_fallback(self):
-        from mfkl.harness import resolve_threads
-
-        assert resolve_threads(3) == 3
-        old = os.environ.get("MFKL_THREADS")
-        os.environ["MFKL_THREADS"] = "7"
-        try:
-            assert resolve_threads(None) == 7
-        finally:
-            if old is None:
-                del os.environ["MFKL_THREADS"]
-            else:
-                os.environ["MFKL_THREADS"] = old
-
 
 _QUAD = {"variant": "quadratic", "r": 1.0, "s": 0.25}
 _GAUSS_INIT = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
@@ -576,15 +549,58 @@ _REPLICA_CONFIGS = {
 }
 
 
+def _output_bytes(config, out, seed=None):
+    run_experiment(config, out_dir=str(out), seed=seed)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _results(outputs):
+    """Every file but ``config.json``, with the config that JSON result
+    files embed left out, so only what the chains computed is compared."""
+    results = {}
+    for name, data in outputs.items():
+        if name.endswith(".json"):
+            data = {k: v for k, v in json.loads(data).items() if k != "config"}
+        results[name] = data
+    del results["config.json"]
+    return results
+
+
 @pytest.mark.parametrize("kind", sorted(_REPLICA_CONFIGS))
-def test_replica_outputs_do_not_depend_on_threads(tmp_path, kind):
-    outputs = {}
-    for threads in (1, 3):
-        out = tmp_path / f"threads{threads}"
-        run_experiment(_REPLICA_CONFIGS[kind], out_dir=str(out), threads=threads)
-        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(outputs[1]) >= 2  # config.json and at least one result file
-    assert outputs[1] == outputs[3]
+def test_replica_kinds_reproduce_bytes(tmp_path, kind):
+    config = _REPLICA_CONFIGS[kind]
+    first = _output_bytes(config, tmp_path / "first")
+    assert len(first) >= 2  # config.json and at least one result file
+    assert _output_bytes(config, tmp_path / "again") == first
+    other = _output_bytes(config, tmp_path / "other", seed=config["chain"]["seed"] + 1)
+    assert other.keys() == first.keys()
+    first, other = _results(first), _results(other)
+    assert any(other[name] != first[name] for name in first)
+
+
+class TestThreadsRemoved:
+    """Replicas run in one thread: the CLI has no ``--threads`` and
+    ``run_experiment`` takes only ``threads=1``."""
+
+    def test_cli_threads_flag_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli("risk", "--config", _write_config(tmp_path, _REPLICA_CONFIGS["risk"]),
+                         "--out", str(out), "--threads", "2")
+        assert result.returncode == 2
+        assert "--threads" in result.stderr
+        assert not out.exists()
+
+    def test_run_experiment_threads_2_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match="threads"):
+            run_experiment(_REPLICA_CONFIGS["risk"], out_dir=str(out), threads=2)
+        assert not out.exists()
+
+    def test_run_experiment_threads_1_runs(self, tmp_path):
+        out = tmp_path / "out"
+        payload = run_experiment(_REPLICA_CONFIGS["risk"], out_dir=str(out), threads=1)
+        assert payload["reps"] == _REPLICA_CONFIGS["risk"]["reps"]
+        assert (out / "risk.json").is_file()
 
 
 def _write_config(tmp_path, config):

@@ -40,15 +40,6 @@ class TestQuadraticRisk:
                 {"kind": "gaussian", "mean": 0.0, "std": 1.0},
             )
 
-    def test_threads_do_not_change_results(self, quad_interacting):
-        params = ChainParams(h=0.05, gamma=1.0, n_steps=100, master_seed=55)
-        f = lambda x: np.clip(np.sum(x * x, axis=-1), 0.0, 25.0)
-        init = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
-        serial = m.quadratic_risk(quad_interacting, f, params, 8, 8, 0.6, init, threads=1)
-        parallel = m.quadratic_risk(quad_interacting, f, params, 8, 8, 0.6, init, threads=4)
-        assert serial.value == parallel.value
-        assert serial.std_err == parallel.std_err
-
     def test_config_echo(self, quad_interacting):
         params = ChainParams(h=0.05, gamma=1.0, n_steps=10, master_seed=3)
         est = m.quadratic_risk(

@@ -197,13 +197,16 @@ def _law_point(law, key, d):
         raise ConfigurationError(f"init.{key} must be a number or {d} numbers") from err
 
 
+_LAW_FIELDS = {"point": ("at",), "gaussian": ("mean", "std", "wrap"), "uniform": ()}
+
+
 def _initial_law(law, space):
     """Parse an initial law on ``space``; returns ``draw(n_particles, rng)``.
 
     ``law`` is a mapping with ``kind`` one of ``point`` (field ``at``),
     ``gaussian`` (fields ``mean``, ``std``, optional ``wrap`` on the torus)
-    or ``uniform`` (torus only).  A malformed law raises here, before any
-    draw.  ``draw`` draws positions first, then velocities, both particle-major.
+    or ``uniform`` (torus only), and no other field.  A malformed law raises
+    here, before any draw; ``draw`` draws positions, then velocities, particle-major.
     """
     kind, d = law.get("kind"), space.d
     if kind == "point":
@@ -224,6 +227,9 @@ def _initial_law(law, space):
         positions = lambda n, rng: rng.uniforms(n * d).reshape(n, d)
     else:
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
+    unread = [name for name in law if name not in ("kind", *_LAW_FIELDS[kind])]
+    if unread:
+        raise ConfigurationError(f"{kind} initial law does not read field(s): {', '.join(unread)}")
 
     def draw(n, rng):
         if n < 1:

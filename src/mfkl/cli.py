@@ -6,8 +6,9 @@ Usage::
     mfkl report --out DIR
 
 Kinds are the experiment kinds of :mod:`mfkl.harness`; ``report``
-summarizes a finished experiment directory.  ``--seed`` overrides the
-config seed.  Replica experiments run their replicas one after another.
+summarizes a finished experiment directory.  ``--seed`` overrides
+``chain.seed`` (``oracle`` and ``constants`` have no chain and reject it).
+Replica experiments run their replicas one after another.
 Exit codes: 1 the diagnostic is unavailable for this model, or an internal
 invariant or observer failed; 2 bad config (including an unreadable or
 non-JSON config file); 3 numerical domain error; 4 non-convergence;
@@ -28,7 +29,7 @@ def build_parser():
     )
     parser.add_argument("kind", choices=EXPERIMENT_KINDS + ("report",))
     parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=int, help="override chain.seed (kinds with a chain)")
     parser.add_argument("--out", help="output directory")
     return parser
 

@@ -1,6 +1,6 @@
 """Experiment configuration, drivers, and file output.
 
-Configs are strict JSON (unknown fields are rejected with their path);
+Configs are strict JSON (a field the kind does not read is rejected with its path);
 numeric tables are written as comma-separated UTF-8 with a header row and
 full-precision floats, so rerunning a config with the same seed reproduces
 every output byte for byte.  Timestamps appear only in the report index.
@@ -55,13 +55,17 @@ _TABLE_HEADER = ("parameter", "estimate", "std_err", "gate_lo", "gate_hi", "pass
 
 
 def validate_config(config):
-    """Strict-schema validation, where a ``number`` is an int or float within
-    float64 range (no bool, NaN or infinity) and an ``integer`` is such an
-    int (not 4.0); raises with the offending field path."""
-    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: e.json_path)
+    """Strict validation against the schema of the config's kind (its fields,
+    no others; a ``number`` is an int or float within float64 range, not a bool,
+    NaN or infinity, and an ``integer`` such an int, not 4.0), naming the field."""
+    errors = list(_KIND_VALIDATOR.iter_errors(config)) or sorted(
+        _VALIDATORS[config["kind"]].iter_errors(config), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
         message, value = first.message, first.instance
+        if first.validator == "required" and not first.path and "kind" in value:
+            missing = ", ".join(name for name in first.validator_value if name not in value)
+            raise ConfigurationError(f"config kind {value['kind']!r} requires field(s): {missing}")
         if _is_real(value) and not abs(value) <= sys.float_info.max:
             message = "not a finite number"  # NaN, an infinity or past float64
         raise ConfigurationError(f"config invalid at {first.json_path}: {message}")
@@ -474,27 +478,6 @@ def _prepare_risk(config):
     return run
 
 
-# fields of every kind that runs chains from an initial law
-_CHAIN_FIELDS = ("model", "n_particles", "chain", "init")
-
-# kind -> (prepare, required config fields, result file).  The result file
-# is written last, so a directory without it holds a run that did not finish.
-_KINDS = {
-    "sample": (_prepare_sample, _CHAIN_FIELDS, "final_state.csv"),
-    "sweep_h": (_prepare_sweep_h, (*_CHAIN_FIELDS, "h_grid", "observable"), "summary.json"),
-    "sweep_N": (_prepare_sweep_n,
-                ("model", "chain", "init", "n_grid", "reps", "observable", "oracle_mean"),
-                "summary.json"),
-    "converge": (_prepare_converge, _CHAIN_FIELDS, "summary.json"),
-    "lyapunov_check": (_prepare_lyapunov_check, ("model", "n_particles", "chain", "h_grid"),
-                       "summary.json"),
-    "oracle": (_prepare_oracle, ("model",), "density.csv"),
-    "constants": (_prepare_constants, ("gamma", "rho"), "constants.json"),
-    "risk": (_prepare_risk, (*_CHAIN_FIELDS, "reps", "observable"), "risk.json"),
-}
-
-EXPERIMENT_KINDS = tuple(_KINDS)
-
 _NUM = {"type": "number"}
 _NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
@@ -508,8 +491,7 @@ def _object(properties, *required):
             "required": list(required)}
 
 
-_SCHEMA = _object({
-    "kind": {"enum": list(EXPERIMENT_KINDS)},
+_FIELDS = {
     "out_dir": {"type": "string"},
     "model": _object({
         "variant": {"type": "string"},
@@ -519,6 +501,7 @@ _SCHEMA = _object({
         "ys": {"type": "array", "items": _NUM},
     }, "variant"),
     "n_particles": _POS_INT,
+    # one schema for every kind: sweep_h and lyapunov_check configs may carry an unread h
     "chain": _object({"h": _NUM, "gamma": _NUM, "n_steps": _NONNEG_INT, "seed": _NONNEG_INT}),
     "init": _object({
         "kind": {"enum": ["point", "gaussian", "uniform"]},
@@ -554,7 +537,34 @@ _SCHEMA = _object({
         "alpha_n_prime": _NUM, "lambda_prime": _NUM, "rho_n": _NUM,
     }, "rho_bar", "mmm"),
     "d": _POS_INT,
-}, "kind")
+}
+
+# fields of every kind that runs chains from an initial law
+_CHAIN_FIELDS = ("model", "n_particles", "chain", "init")
+# the fixed-point oracle's grid and solver settings (see _oracle_density)
+_ORACLE_FIELDS = ("grid", "damping", "tol", "max_iter")
+
+# kind -> (prepare, required fields, result file, optional fields); the kind takes
+# these fields, ``kind`` and ``out_dir`` and no others.  The result file is written
+# last, so a directory without it holds a run that did not finish.
+_KINDS = {
+    "sample": (_prepare_sample, _CHAIN_FIELDS, "final_state.csv", ("stride",)),
+    "sweep_h": (_prepare_sweep_h, (*_CHAIN_FIELDS, "h_grid", "observable"), "summary.json",
+                ("stride", "burn_in", "reps", "slope_gate", "oracle_mean", *_ORACLE_FIELDS)),
+    "sweep_N": (_prepare_sweep_n, ("model", "chain", "init", "n_grid", "reps", "observable",
+                                   "oracle_mean"), "summary.json", ()),
+    "converge": (_prepare_converge, _CHAIN_FIELDS, "summary.json",
+                 ("stride", "n_bins", "rho", "reps", *_ORACLE_FIELDS)),
+    "lyapunov_check": (_prepare_lyapunov_check, ("model", "n_particles", "chain", "h_grid"),
+                       "summary.json", ("n_states", "m_draws", "state_scales")),
+    "oracle": (_prepare_oracle, ("model",), "density.csv", _ORACLE_FIELDS),
+    "constants": (_prepare_constants, ("gamma", "rho"), "constants.json",
+                  ("c1_hat", "delta_n", "lsi", "n_particles", "d", "model")),
+    "risk": (_prepare_risk, (*_CHAIN_FIELDS, "reps", "observable"), "risk.json",
+             ("oracle_mean", *_ORACLE_FIELDS)),
+}
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 # Python's JSON reader accepts NaN, Infinity and integers of any size, and
 # jsonschema's own types count all of them as numbers and 4.0 as an integer
@@ -562,17 +572,24 @@ _TYPES = Draft202012Validator.TYPE_CHECKER.redefine_many({
     "number": lambda checker, v: _is_real(v) and abs(v) <= sys.float_info.max,
     "integer": lambda checker, v: isinstance(v, int) and checker.is_type(v, "number"),
 })
-_VALIDATOR = validators.extend(Draft202012Validator, type_checker=_TYPES)(_SCHEMA)
+_Validator = validators.extend(Draft202012Validator, type_checker=_TYPES)
+_KIND_VALIDATOR = _Validator({"type": "object", "required": ["kind"],
+                              "properties": {"kind": {"enum": list(_KINDS)}}})
+_VALIDATORS = {kind: _Validator(_object(
+    {"kind": {}, **{f: _FIELDS[f] for f in ("out_dir", *req, *opt)}}, *req
+)) for kind, (_, req, _, opt) in _KINDS.items()}
 
 
 def run_experiment(config, out_dir=None, seed=None, threads=1):
     """Run one experiment described by a validated config mapping.
 
-    ``seed`` overrides the config seed; outputs land in ``out_dir`` (or the
-    config's ``out_dir``).  Returns the summary payload of the experiment;
-    a kind with a JSON result file writes that payload there with the config.
+    ``seed`` overrides ``chain.seed`` and is validated with it, so the kinds
+    without a ``chain`` (``oracle``, ``constants``) reject it; outputs land
+    in ``out_dir`` (or the config's ``out_dir``).  Returns the summary payload
+    of the experiment; a kind with a JSON result file writes that payload
+    there with the config.
     Replicas run one after another, so ``threads`` must be 1.  That check,
-    the schema, the kind's required fields and the kind's prepare step,
+    the kind's schema, with its required fields, and the kind's prepare step,
     which parses the rest of the config, all run before the output
     directory is made, so every :class:`ConfigurationError`, and the
     :class:`CapabilityError` of a model the fixed-point oracle cannot take,
@@ -580,15 +597,11 @@ def run_experiment(config, out_dir=None, seed=None, threads=1):
     """
     if threads != 1:
         raise ConfigurationError(f"replicas run in one thread, got threads={threads!r}")
-    config = validate_config(dict(config))
-    if seed is not None:
+    config = dict(config)
+    if seed is not None and isinstance(config.get("chain", {}), dict):
         config["chain"] = {**config.get("chain", {}), "seed": int(seed)}
-    prepare, required, result_file = _KINDS[config["kind"]]
-    missing = [name for name in required if name not in config]
-    if missing:
-        raise ConfigurationError(
-            f"config kind {config['kind']!r} requires field(s): {', '.join(missing)}"
-        )
+    config = validate_config(config)
+    prepare, _, result_file, _ = _KINDS[config["kind"]]
     out_dir = out_dir or config.get("out_dir")
     if not out_dir:
         raise ConfigurationError("no output directory given (config out_dir or --out)")

@@ -218,6 +218,17 @@ class TestRunChain:
         assert np.array_equal(final.positions, init.positions)
         assert np.array_equal(final.velocities, init.velocities)
 
+    def test_default_rng_is_the_master_seed_stream(self, quad_interacting):
+        init = m.sample_initial(
+            {"kind": "gaussian", "mean": 0.0, "std": 1.0}, 4, quad_interacting.space,
+            RngStream(1),
+        )
+        params = ChainParams(h=0.05, gamma=1.0, n_steps=20, master_seed=41)
+        default, _ = m.run_chain(quad_interacting, init, params)
+        seeded, _ = m.run_chain(quad_interacting, init, params, rng=RngStream(41))
+        assert np.array_equal(default.positions, seeded.positions)
+        assert np.array_equal(default.velocities, seeded.velocities)
+
     def test_observer_stride_record_count(self, quad_plain):
         init = m.sample_initial({"kind": "point", "at": 0.0}, 2, quad_plain.space, RngStream(1))
         params = ChainParams(h=0.05, gamma=1.0, n_steps=100)
@@ -408,6 +419,17 @@ class TestSampleInitial:
         with pytest.raises(ConfigurationError, match="std"):
             m.sample_initial({"kind": "gaussian", "std": -1.0}, 4, Space("euclidean", 1),
                              RngStream(1))
+
+    @pytest.mark.parametrize("law, field", [
+        ({"kind": "point", "at": 0.5, "std": 1.0}, "std"),
+        ({"kind": "point", "at": 0.5, "wrap": True}, "wrap"),
+        ({"kind": "gaussian", "mean": 0.5, "wrap": True, "at": 0.5}, "at"),
+        ({"kind": "uniform", "mean": 0.5}, "mean"),
+        ({"kind": "uniform", "at": 0.5}, "at"),
+    ])
+    def test_field_the_law_does_not_read_rejected(self, law, field):
+        with pytest.raises(ConfigurationError, match=f"does not read field\\(s\\): {field}"):
+            m.sample_initial(law, 4, Space("torus", 1), RngStream(1))
 
     def test_uniform_is_torus_only(self):
         with pytest.raises(ConfigurationError):

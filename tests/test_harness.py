@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import mfkl as m
 from mfkl import ConfigurationError, MissingArtifactError
 from mfkl.harness import (
     EXPERIMENT_KINDS,
+    _FIELDS,
     _KINDS,
     _random_states,
     decaying_segment,
@@ -74,6 +78,16 @@ class TestConstantsKind:
         )
         payload = json.loads((out / "constants.json").read_text())
         assert payload["lyapunov"]["torus_additive"] == pytest.approx(766.0)
+
+    def test_lsi_block_from_lsi_n_particles_and_d(self, tmp_path):
+        lsi = {"rho_bar": 1.0, "mmm": 0.1, "lambda_flat": 0.1, "alpha_n": 0.05}
+        run_experiment(
+            {"kind": "constants", "gamma": 1.0, "rho": 1.0, "lsi": lsi, "n_particles": 8, "d": 2},
+            out_dir=str(tmp_path),
+        )
+        payload = json.loads((tmp_path / "constants.json").read_text())
+        assert payload["lsi"] == asdict(m.lsi_constants(m.LsiConstants(**lsi), 8, 2))
+        assert payload["lsi"] != asdict(m.lsi_constants(m.LsiConstants(**lsi), 1, 1))
 
 
 class TestOracleKind:
@@ -876,3 +890,62 @@ def test_oracle_capability_error_exit_1_before_any_output(tmp_path, kind):
     assert "model does not expose a 1-d linear derivative" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("converge", "oracle_mean", 123.0),
+    ("sweep_N", "n_particles", 1000),
+    ("sample", "reps", 4),
+    ("risk", "stride", 2),
+    ("lyapunov_check", "init", {"kind": "uniform"}),
+    ("oracle", "chain", {"h": 0.05, "gamma": 1.0}),
+    ("constants", "stride", 2),
+    ("sweep_h", "n_bins", 50),
+])
+def test_field_the_kind_does_not_read_exit_2_before_any_output(tmp_path, kind, field, value):
+    out = tmp_path / "out"
+    config = {**_KIND_CONFIGS[kind], field: value}
+    result = run_cli(kind, "--config", _write_config(tmp_path, config), "--out", str(out))
+    assert result.returncode == 2
+    assert f"'{field}' was unexpected" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["oracle", "constants"])
+def test_seed_on_a_kind_without_a_chain_exit_2_before_any_output(tmp_path, kind):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match="'chain' was unexpected"):
+        run_experiment(_KIND_CONFIGS[kind], out_dir=str(out), seed=3)
+    result = run_cli(kind, "--config", _write_config(tmp_path, _KIND_CONFIGS[kind]),
+                     "--out", str(out), "--seed", "3")
+    assert result.returncode == 2
+    assert "'chain' was unexpected" in result.stderr
+    assert not out.exists()
+
+
+def test_seed_with_a_chain_that_is_not_an_object_rejected(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match=r"\$\.chain: 5 is not of type 'object'"):
+        run_experiment({**_FLAT_CONVEX_SAMPLE, "chain": 5}, out_dir=str(out), seed=3)
+    assert not out.exists()
+
+
+def test_every_field_schema_is_named_by_a_kind_and_back():
+    named = {name for _, required, _, optional in _KINDS.values() for name in required + optional}
+    assert named | {"out_dir"} == set(_FIELDS)
+
+
+def test_readme_kind_table_lists_each_kinds_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in readme.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 3 and cells[0].strip().strip("`") in _KINDS:
+            table[cells[0].strip().strip("`")] = tuple(
+                sorted(re.findall(r"`(\w+)`", cell)) for cell in cells[1:]
+            )
+    assert table == {
+        kind: (sorted(required), sorted(optional))
+        for kind, (_, required, _, optional) in _KINDS.items()
+    }

@@ -84,6 +84,19 @@ class TestKernelDrift:
         )
         assert report.holds
 
+    def test_default_rng_is_the_master_seed_stream(self, torus_model):
+        rng = RngStream(31)
+        state = ParticleState(
+            rng.uniforms(8).reshape(8, 1), rng.normal_matrix((8, 1)), torus_model.space
+        )
+        params = ChainParams(h=0.05, gamma=1.0, n_steps=1, master_seed=17)
+        spec = LyapunovSpec(kind=m.VELOCITY_SIXTH)
+        default = m.estimate_kernel_drift(torus_model, state, params, spec, m_draws=2000)
+        seeded = m.estimate_kernel_drift(
+            torus_model, state, params, spec, m_draws=2000, rng=RngStream(17)
+        )
+        assert default == seeded
+
     @pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 0.2])
     def test_zero_force_exact_value(self, h):
         # with no force and zero start, P V is exactly N (1-eta^2)^3 E|G|^6

@@ -197,26 +197,24 @@ def _law_point(law, key, d):
         raise ConfigurationError(f"init.{key} must be a number or {d} numbers") from err
 
 
-_LAW_FIELDS = {"point": ("at",), "gaussian": ("mean", "std", "wrap"), "uniform": ()}
-
-
 def _initial_law(law, space):
     """Parse an initial law on ``space``; returns ``draw(n_particles, rng)``.
 
     ``law`` is a mapping with ``kind`` one of ``point`` (field ``at``),
-    ``gaussian`` (fields ``mean``, ``std``, optional ``wrap`` on the torus)
+    ``gaussian`` (fields ``mean``, ``std``, and ``wrap`` on the torus only)
     or ``uniform`` (torus only), and no other field.  A malformed law raises
     here, before any draw; ``draw`` draws positions, then velocities, particle-major.
     """
     kind, d = law.get("kind"), space.d
     if kind == "point":
-        point = _law_point(law, "at", d)
+        fields, point = ("at",), _law_point(law, "at", d)
         if space.is_torus and ((point < 0.0).any() or (point >= 1.0).any()):
             raise ConfigurationError("point mass must lie in [0,1)^d on the torus")
         positions = lambda n, rng: np.tile(point, (n, 1))
     elif kind == "gaussian":
         if space.is_torus and not law.get("wrap", False):
             raise ConfigurationError("gaussian initial positions on the torus need wrap=true")
+        fields = ("mean", "std", "wrap") if space.is_torus else ("mean", "std")
         mean, std = _law_point(law, "mean", d), float(law.get("std", 1.0))
         if not std >= 0.0:
             raise ConfigurationError(f"init.std must be nonnegative, got {std}")
@@ -224,12 +222,12 @@ def _initial_law(law, space):
     elif kind == "uniform":
         if not space.is_torus:
             raise ConfigurationError("uniform initial positions are torus-only")
-        positions = lambda n, rng: rng.uniforms(n * d).reshape(n, d)
+        fields, positions = (), lambda n, rng: rng.uniforms(n * d).reshape(n, d)
     else:
         raise ConfigurationError(f"unknown initial law kind {kind!r}")
-    unread = [name for name in law if name not in ("kind", *_LAW_FIELDS[kind])]
+    unread = ", ".join(name for name in law if name not in ("kind", *fields))
     if unread:
-        raise ConfigurationError(f"{kind} initial law does not read field(s): {', '.join(unread)}")
+        raise ConfigurationError(f"{kind} law on {space.kind} does not read field(s): {unread}")
 
     def draw(n, rng):
         if n < 1:

@@ -126,11 +126,10 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _chain_params(config, h_override=None):
-    chain = config.get("chain", {})
-    h = h_override if h_override is not None else chain.get("h")
-    if h is None or "gamma" not in chain:
-        raise ConfigurationError("config requires chain.h and chain.gamma")
+def _chain_params(config, h=None):
+    """The chain's parameters, at step size ``h`` if given, else ``chain.h``."""
+    chain = config["chain"]
+    h = chain["h"] if h is None else h
     return ChainParams(h, chain["gamma"], chain.get("n_steps", 0), chain.get("seed", 0))
 
 
@@ -170,9 +169,12 @@ def _oracle_density(config, model):
 
 
 def _oracle_value(config, model, f):
-    """``() -> value``: the config's ``oracle_mean``, else the mean of ``f``
-    under the oracle density."""
+    """``() -> value``: the config's ``oracle_mean``, in place of the oracle and
+    its settings, else the mean of ``f`` under the oracle density."""
     if "oracle_mean" in config:
+        unread = ", ".join(name for name in _ORACLE_FIELDS if name in config)
+        if unread:
+            raise ConfigurationError(f"{unread} not read: oracle_mean replaces the oracle")
         return lambda: config["oracle_mean"]
     density = _oracle_density(config, model)
     return lambda: reference_expectation(density(), lambda x: f(x[:, None]))
@@ -439,6 +441,9 @@ def _prepare_oracle(config):
 
 def _prepare_constants(config):
     """Closed-form arithmetic only, so the payload is computed here."""
+    for name, blocks in (("d", ("lsi",)), ("n_particles", ("lsi", "model"))):
+        if name in config and not any(block in config for block in blocks):
+            raise ConfigurationError(f"constants reads {name} only with {' or '.join(blocks)}")
     payload = asdict(contraction_constants(
         config["gamma"], config["rho"],
         c1_hat=config.get("c1_hat", 0.0), delta_n=config.get("delta_n", 0.0),
@@ -491,6 +496,16 @@ def _object(properties, *required):
             "required": list(required)}
 
 
+def _chain_schema(fields):
+    """The ``chain`` of a kind with these fields: ``gamma``, ``seed``, ``h``
+    unless the kind takes its step sizes from ``h_grid``, and ``n_steps`` if it
+    runs chains from an ``init`` law (``lyapunov_check`` makes single steps)."""
+    # sweep_h and lyapunov_check still take an unread h: the benchmark's configs carry it
+    taken = {name: schema for name, schema in _FIELDS["chain"]["properties"].items()
+             if name != "n_steps" or "init" in fields}
+    return _object(taken, "gamma", *(() if "h_grid" in fields else ("h",)))
+
+
 _FIELDS = {
     "out_dir": {"type": "string"},
     "model": _object({
@@ -501,7 +516,7 @@ _FIELDS = {
         "ys": {"type": "array", "items": _NUM},
     }, "variant"),
     "n_particles": _POS_INT,
-    # one schema for every kind: sweep_h and lyapunov_check configs may carry an unread h
+    # every chain field; each kind takes its part of them (_chain_schema)
     "chain": _object({"h": _NUM, "gamma": _NUM, "n_steps": _NONNEG_INT, "seed": _NONNEG_INT}),
     "init": _object({
         "kind": {"enum": ["point", "gaussian", "uniform"]},
@@ -576,7 +591,8 @@ _Validator = validators.extend(Draft202012Validator, type_checker=_TYPES)
 _KIND_VALIDATOR = _Validator({"type": "object", "required": ["kind"],
                               "properties": {"kind": {"enum": list(_KINDS)}}})
 _VALIDATORS = {kind: _Validator(_object(
-    {"kind": {}, **{f: _FIELDS[f] for f in ("out_dir", *req, *opt)}}, *req
+    {"kind": {}, **{f: _FIELDS[f] for f in ("out_dir", *req, *opt)},
+     **({"chain": _chain_schema(req)} if "chain" in req else {})}, *req
 )) for kind, (_, req, _, opt) in _KINDS.items()}
 
 

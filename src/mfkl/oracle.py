@@ -249,7 +249,7 @@ def stationary_covariance_quadratic(r, gamma, h):
     2x2 discrete Lyapunov equation of the one-step recursion.  Returns the
     (x, v) covariance matrix.
     """
-    if r <= 0.0 or gamma <= 0.0 or h <= 0.0 or h >= 1.0 / gamma:
+    if not (r > 0.0 and gamma > 0.0 and 0.0 < h < 1.0 / gamma):
         raise ConfigurationError("need r > 0, gamma > 0, 0 < h < 1/gamma")
     eta = 1.0 - gamma * h
     a = 1.0 - 0.5 * r * h * h

@@ -83,9 +83,9 @@ def entropy_bound(n, n_particles, d, h, h0, i0, constants):
     with caller-supplied initial relative entropy ``h0`` and Fisher
     information ``i0``.
     """
-    if h0 < 0.0 or i0 < 0.0:
-        raise NumericalDomainError("initial entropy and Fisher information must be >= 0")
-    if n < 0 or n_particles < 1 or d < 1 or h <= 0.0:
+    if not (h0 >= 0.0 and i0 >= 0.0):  # not < 0: NaN is rejected too
+        raise NumericalDomainError("need initial entropy h0 >= 0 and Fisher information i0 >= 0")
+    if not (n >= 0 and n_particles >= 1 and d >= 1 and h > 0.0):
         raise ConfigurationError("need n >= 0, N >= 1, d >= 1, h > 0")
     transient = math.exp(-n * math.log1p(constants.kappa * h)) * (h0 + 2.0 * constants.a * i0)
     floor = constants.delta_n / constants.rho + constants.c2 * n_particles * d ** 3 * h ** 4
@@ -99,14 +99,14 @@ def risk_bounds(f_sup, n_particles, h_mn, mode, tv=None, r_entropy=None, eta_n=N
     ``mode="entropy"`` uses the entropy-comparison constants
     ``r_entropy`` and ``eta_n``.
     """
-    if f_sup < 0.0 or n_particles < 1 or h_mn < 0.0:
-        raise NumericalDomainError("risk bound inputs must be nonnegative")
+    if not (f_sup >= 0.0 and n_particles >= 1 and h_mn >= 0.0):
+        raise NumericalDomainError("risk bound needs f_sup >= 0, N >= 1, h_mn >= 0")
     if mode == "tv2":
-        if tv is None or tv < 0.0:
+        if tv is None or not tv >= 0.0:
             raise NumericalDomainError("tv2 mode needs a nonnegative tv value")
         return 4.0 * f_sup ** 2 * (1.0 / n_particles + math.sqrt(2.0 * h_mn) + tv)
     if mode == "entropy":
-        if r_entropy is None or eta_n is None or r_entropy < 0.0 or eta_n < 0.0:
+        if r_entropy is None or eta_n is None or not (r_entropy >= 0.0 and eta_n >= 0.0):
             raise NumericalDomainError("entropy mode needs nonnegative r_entropy, eta_n")
         return 4.0 * f_sup ** 2 * (
             1.0 / n_particles + 2.0 * math.sqrt((eta_n + r_entropy * h_mn) / n_particles)
@@ -136,17 +136,17 @@ class LsiConstants:
     rho_n: float | None = None
 
     def __post_init__(self):
-        if self.rho_bar <= 0.0:
+        if not self.rho_bar > 0.0:
             raise ConfigurationError("rho_bar must be positive")
-        if self.mmm < 0.0:
+        if not self.mmm >= 0.0:
             raise ConfigurationError("mmm must be nonnegative")
         if not 0.0 < self.eps < 1.0:
             raise ConfigurationError("eps must lie in (0, 1)")
         if not 0.0 <= self.lambda_flat < 1.0:
             raise ConfigurationError("lambda_flat must lie in [0, 1)")
-        if self.alpha_n < 0.0 or self.alpha_n_prime < 0.0 or self.lambda_prime < 0.0:
+        if not (self.alpha_n >= 0.0 and self.alpha_n_prime >= 0.0 and self.lambda_prime >= 0.0):
             raise ConfigurationError("alpha_n, alpha_n_prime, lambda_prime must be >= 0")
-        if self.rho_n is not None and self.rho_n <= 0.0:
+        if self.rho_n is not None and not self.rho_n > 0.0:
             raise ConfigurationError("rho_n must be positive when given")
 
 
@@ -170,7 +170,7 @@ def lsi_constants(inputs, n_particles, d):
     Also returns the entropy-comparison constants ``r_entropy = 1/(1-lambda)``
     and ``eta_n = (alpha_n + alpha_n')/(1-lambda)``.
     """
-    if n_particles < 1 or d < 1:
+    if not (n_particles >= 1 and d >= 1):
         raise ConfigurationError("need N >= 1 and d >= 1")
     lam = inputs.lambda_flat
     if lam >= 0.5:
@@ -246,7 +246,7 @@ def lyapunov_constants(space, gamma, coeffs, n_particles):
     need ``df_sup``.  The torus constant is the additive term divided by
     ``N h``: ``766 gamma d^3 + df_sup^6 / gamma^5``.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ConfigurationError("gamma must be positive")
     d = space.d
     if space.kind == TORUS:
@@ -260,8 +260,8 @@ def lyapunov_constants(space, gamma, coeffs, n_particles):
             "Euclidean drift constants need positive r_conf, c0, c1; "
             "the drift diagnostic is disabled"
         )
-    if n_particles < 1:
-        raise ConfigurationError("need at least one particle")
+    if not n_particles >= 1:
+        raise ConfigurationError("need N >= 1")
     alpha = min(0.5 * gamma / (2.0 * gamma ** 2 / r + 19.0 / 12.0), math.sqrt(c0 / 2.0))
     theta = 0.5 * min(alpha * r / (5.0 * c1), gamma)
     lambda0 = min(
@@ -283,8 +283,8 @@ def gaussian_quadratic_init_divergences(r, s, n_particles, d, mean, std):
     """
     import numpy as np
 
-    if r <= 0.0 or s < 0.0 or std <= 0.0:
-        raise ConfigurationError("need r > 0, s >= 0, std > 0")
+    if not (r > 0.0 and s >= 0.0 and std > 0.0 and n_particles >= 1 and d >= 1):
+        raise ConfigurationError("need r > 0, s >= 0, std > 0, N >= 1, d >= 1")
     mean = np.broadcast_to(np.atleast_1d(np.asarray(mean, dtype=float)), (d,))
     var = std * std
     n = n_particles

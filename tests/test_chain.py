@@ -431,6 +431,12 @@ class TestSampleInitial:
         with pytest.raises(ConfigurationError, match=f"does not read field\\(s\\): {field}"):
             m.sample_initial(law, 4, Space("torus", 1), RngStream(1))
 
+    @pytest.mark.parametrize("wrap", [True, False])
+    def test_wrap_on_euclidean_space_rejected(self, wrap):
+        with pytest.raises(ConfigurationError, match=r"does not read field\(s\): wrap"):
+            m.sample_initial({"kind": "gaussian", "mean": 0.5, "wrap": wrap}, 4,
+                             Space("euclidean", 1), RngStream(1))
+
     def test_uniform_is_torus_only(self):
         with pytest.raises(ConfigurationError):
             m.sample_initial({"kind": "uniform"}, 4, Space("euclidean", 1), RngStream(1))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -33,8 +34,12 @@ def read_csv(path):
 
 
 def run_cli(*args):
+    # the package's src on PYTHONPATH, so the CLI runs from a checkout too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mfkl.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "mfkl.cli", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
@@ -818,7 +823,8 @@ _TORUS = {"variant": "torus_trig", "a": 0.3, "b": 0.2, "d": 1}
 
 
 @pytest.mark.parametrize("kind, entries, message", [
-    ("lyapunov_check", {"chain": {"seed": 3}}, "config requires chain.h and chain.gamma"),
+    ("lyapunov_check", {"chain": {"seed": 3}},
+     "config invalid at $.chain: 'gamma' is a required property"),
     ("sweep_h", {"h_grid": [0.03, 0.03]}, "h_grid needs at least two distinct values"),
     ("sweep_h", {"stride": 50, "burn_in": 0.9}, "no observer record falls after burn-in"),
     # a bad model in every kind that builds one
@@ -864,6 +870,24 @@ _TORUS = {"variant": "torus_trig", "a": 0.3, "b": 0.2, "d": 1}
     ("risk", {"reps": 8.0}, "$.reps: 8.0 is not of type 'integer'"),
     ("converge", {"stride": 2.0}, "$.stride: 2.0 is not of type 'integer'"),
     ("sweep_N", {"n_grid": [4, 8.0]}, "$.n_grid[1]: 8.0 is not of type 'integer'"),
+    # lyapunov_check makes single transitions from random states: no n_steps
+    ("lyapunov_check", {"chain": {"gamma": 1.0, "n_steps": 999}}, "'n_steps' was unexpected"),
+    # oracle_mean replaces the oracle, so none of its settings is read
+    *[(kind, {field: value}, f"{field} not read: oracle_mean replaces the oracle")
+      for kind in ("sweep_h", "risk")
+      for field, value in (("grid", {"lo": 6.0, "hi": -6.0, "n_cells": 201}),
+                           ("damping", 1.0), ("tol", 5.0), ("max_iter", 1))],
+    # constants' d belongs to the lsi block, n_particles to the lsi and model blocks
+    ("constants", {"d": 7}, "constants reads d only with lsi"),
+    ("constants", {"n_particles": 9}, "constants reads n_particles only with lsi or model"),
+    # wrap is a torus field; the sample config's model lives on R^2
+    ("sample", {"init": {"kind": "gaussian", "wrap": True}},
+     "gaussian law on euclidean does not read field(s): wrap"),
+    # a chain field the kind reads, left out, is named at $.chain
+    ("sample", {"chain": {"gamma": 1.0, "n_steps": 2}},
+     "config invalid at $.chain: 'h' is a required property"),
+    ("risk", {"chain": {"h": 0.05, "n_steps": 40}},
+     "config invalid at $.chain: 'gamma' is a required property"),
 ])
 def test_driver_config_error_exit_2_before_any_output(tmp_path, kind, entries, message):
     out = tmp_path / "out"
@@ -910,6 +934,11 @@ def test_field_the_kind_does_not_read_exit_2_before_any_output(tmp_path, kind, f
     assert f"'{field}' was unexpected" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_constants_n_particles_with_model_alone_runs(tmp_path):
+    config = {"kind": "constants", "gamma": 1.0, "rho": 1.0, "n_particles": 9, "model": _QUAD}
+    assert "lyapunov" in run_experiment(config, out_dir=str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("kind", ["oracle", "constants"])

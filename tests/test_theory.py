@@ -256,3 +256,66 @@ class TestGaussianInitDivergences:
         i0_dense = float(mu @ precision @ precision @ mu + np.trace(diff @ sigma1 @ diff))
         assert h0 == pytest.approx(h0_dense, rel=1e-9)
         assert i0 == pytest.approx(i0_dense, rel=1e-9)
+
+
+_TC = m.contraction_constants(1.0, 1.0)
+_EUCLIDEAN_COEFFS = ModelCoefficients(r_conf=1.0, c0=0.5, c1=0.5)
+# function -> valid keyword arguments; each row below sets one of them to NaN
+_VALID = {
+    "entropy_bound": (m.entropy_bound, dict(
+        n=5, n_particles=3, d=2, h=0.1, h0=0.5, i0=0.0, constants=_TC)),
+    "risk_bounds_tv2": (m.risk_bounds, dict(
+        f_sup=1.0, n_particles=10, h_mn=0.1, mode="tv2", tv=0.0)),
+    "risk_bounds_entropy": (m.risk_bounds, dict(
+        f_sup=1.0, n_particles=10, h_mn=0.1, mode="entropy", r_entropy=2.0, eta_n=1.0)),
+    "LsiConstants": (LsiConstants, dict(rho_bar=1.0, mmm=0.1, rho_n=1.0)),
+    "lsi_constants": (m.lsi_constants, dict(
+        inputs=LsiConstants(rho_bar=1.0, mmm=0.1), n_particles=4, d=1)),
+    "lyapunov_constants": (m.lyapunov_constants, dict(
+        space=Space("euclidean", 1), gamma=1.0, coeffs=_EUCLIDEAN_COEFFS, n_particles=4)),
+    "gaussian_quadratic_init_divergences": (m.gaussian_quadratic_init_divergences, dict(
+        r=1.0, s=0.25, n_particles=4, d=1, mean=0.0, std=1.0)),
+    "stationary_covariance_quadratic": (m.stationary_covariance_quadratic, dict(
+        r=1.0, gamma=1.0, h=0.1)),
+}
+
+
+@pytest.mark.parametrize("name, function, error", [
+    ("n", "entropy_bound", ConfigurationError),
+    ("n_particles", "entropy_bound", ConfigurationError),
+    ("d", "entropy_bound", ConfigurationError),
+    ("h", "entropy_bound", ConfigurationError),
+    ("h0", "entropy_bound", NumericalDomainError),
+    ("i0", "entropy_bound", NumericalDomainError),
+    ("f_sup", "risk_bounds_tv2", NumericalDomainError),
+    ("n_particles", "risk_bounds_tv2", NumericalDomainError),
+    ("h_mn", "risk_bounds_tv2", NumericalDomainError),
+    ("tv", "risk_bounds_tv2", NumericalDomainError),
+    ("r_entropy", "risk_bounds_entropy", NumericalDomainError),
+    ("eta_n", "risk_bounds_entropy", NumericalDomainError),
+    ("rho_bar", "LsiConstants", ConfigurationError),
+    ("mmm", "LsiConstants", ConfigurationError),
+    ("alpha_n", "LsiConstants", ConfigurationError),
+    ("alpha_n_prime", "LsiConstants", ConfigurationError),
+    ("lambda_prime", "LsiConstants", ConfigurationError),
+    ("rho_n", "LsiConstants", ConfigurationError),
+    ("n_particles", "lsi_constants", ConfigurationError),
+    ("d", "lsi_constants", ConfigurationError),
+    ("gamma", "lyapunov_constants", ConfigurationError),
+    ("n_particles", "lyapunov_constants", ConfigurationError),
+    ("r", "gaussian_quadratic_init_divergences", ConfigurationError),
+    ("s", "gaussian_quadratic_init_divergences", ConfigurationError),
+    ("n_particles", "gaussian_quadratic_init_divergences", ConfigurationError),
+    ("d", "gaussian_quadratic_init_divergences", ConfigurationError),
+    ("std", "gaussian_quadratic_init_divergences", ConfigurationError),
+    ("r", "stationary_covariance_quadratic", ConfigurationError),
+    ("gamma", "stationary_covariance_quadratic", ConfigurationError),
+    ("h", "stationary_covariance_quadratic", ConfigurationError),
+])
+def test_nan_input_raises_naming_it(name, function, error):
+    # domain checks read "not x >= 0" / "not x > 0", so NaN fails them
+    fn, valid = _VALID[function]
+    fn(**valid)
+    label = "N" if name == "n_particles" else name  # messages write the particle count N
+    with pytest.raises(error, match=rf"\b{label}\b"):
+        fn(**{**valid, name: math.nan})

@@ -9,12 +9,12 @@ every output byte for byte.  Timestamps appear only in the report index.
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
 
 from .chain import ChainParams, Observer, _initial_law, run_chain, run_replicas, sample_initial
 from .errors import ConfigurationError, MissingArtifactError
@@ -58,22 +58,101 @@ def validate_config(config):
     """Strict validation against the schema of the config's kind (its fields,
     no others; a ``number`` is an int or float within float64 range, not a bool,
     NaN or infinity, and an ``integer`` such an int, not 4.0), naming the field."""
-    errors = list(_KIND_VALIDATOR.iter_errors(config)) or sorted(
-        _VALIDATORS[config["kind"]].iter_errors(config), key=lambda e: e.json_path)
+    errors = (list(_schema_errors(_KIND_SCHEMA, config))
+              or list(_schema_errors(_SCHEMAS[config["kind"]], config)))
     if errors:
-        first = errors[0]
-        message, value = first.message, first.instance
-        if first.validator == "required" and not first.path and "kind" in value:
-            missing = ", ".join(name for name in first.validator_value if name not in value)
+        path, keyword, message, value = min(errors, key=lambda error: error[0])
+        if keyword == "required" and path == "$" and "kind" in value:
+            required = _SCHEMAS[value["kind"]]["required"]
+            missing = ", ".join(name for name in required if name not in value)
             raise ConfigurationError(f"config kind {value['kind']!r} requires field(s): {missing}")
         if _is_real(value) and not abs(value) <= sys.float_info.max:
             message = "not a finite number"  # NaN, an infinity or past float64
-        raise ConfigurationError(f"config invalid at {first.json_path}: {message}")
+        raise ConfigurationError(f"config invalid at {path}: {message}")
     return config
 
 
 def _is_real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Python's JSON reader accepts NaN, Infinity and integers of any size; none
+# of them is a ``number``, and 4.0 is not an ``integer``
+_JSON_TYPES = {
+    "number": lambda v: _is_real(v) and abs(v) <= sys.float_info.max,
+    "integer": lambda v: isinstance(v, int) and _JSON_TYPES["number"](v),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+# keyword -> (applies to, fails(value, limit), message(limit))
+_LIMITS = {
+    "minimum": ("number", lambda v, m: v < m, "is less than the minimum of {!r}".format),
+    "maximum": ("number", lambda v, m: v > m, "is greater than the maximum of {!r}".format),
+    "exclusiveMinimum": ("number", lambda v, m: v <= m,
+                         "is less than or equal to the minimum of {!r}".format),
+    "minItems": ("array", lambda v, n: len(v) < n,
+                 lambda n: "should be non-empty" if n == 1 else "is too short"),
+    "maxItems": ("array", lambda v, n: len(v) > n,
+                 lambda n: "is expected to be empty" if n == 0 else "is too long"),
+}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _key_path(path, name):
+    """JSON path of field ``name`` of the object at ``path``."""
+    if _PLAIN_KEY.match(name):
+        return f"{path}.{name}"
+    return "{}['{}']".format(path, name.replace("\\", "\\\\").replace("'", "\\'"))
+
+
+def _schema_errors(schema, value, path="$"):
+    """Yield ``(json_path, keyword, message, value)`` for each way ``value``
+    breaks ``schema``: keywords in schema-key order, an error under ``items``
+    or ``properties`` where that keyword stands, in the paths and words of
+    jsonschema's Draft 2020-12 validator.  It implements the keywords that
+    ``_KIND_SCHEMA`` and ``_SCHEMAS`` use and raises on any other, so a
+    schema edit cannot be skipped silently."""
+    for keyword, arg in schema.items():
+        message = None
+        if keyword == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            if not any(_JSON_TYPES[name](value) for name in names):
+                message = f"is not of type {', '.join(map(repr, names))}"
+        elif keyword == "enum":
+            if value not in arg:  # the enums list strings, so 1 and True never alias
+                message = f"is not one of {arg!r}"
+        elif keyword in _LIMITS:
+            kind, fails, words = _LIMITS[keyword]
+            if _JSON_TYPES[kind](value) and fails(value, arg):
+                message = words(arg)
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(arg, item, f"{path}[{index}]")
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for name, subschema in arg.items():
+                    if name in value:
+                        yield from _schema_errors(subschema, value[name], _key_path(path, name))
+        elif keyword == "additionalProperties" and arg is False:
+            extras = isinstance(value, dict) and sorted(
+                set(value) - set(schema.get("properties", {})), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, keyword, (f"Additional properties are not allowed "
+                                      f"({', '.join(map(repr, extras))} {verb} unexpected)"), value
+        elif keyword == "required":
+            if isinstance(value, dict):
+                yield from ((path, keyword, f"{name!r} is a required property", value)
+                            for name in arg if name not in value)
+        else:
+            raise ValueError(f"schema keyword {keyword!r} is not implemented")
+        if message:
+            yield path, keyword, f"{value!r} {message}", value
 
 
 def _read_json(path, error, what):
@@ -581,19 +660,13 @@ _KINDS = {
 
 EXPERIMENT_KINDS = tuple(_KINDS)
 
-# Python's JSON reader accepts NaN, Infinity and integers of any size, and
-# jsonschema's own types count all of them as numbers and 4.0 as an integer
-_TYPES = Draft202012Validator.TYPE_CHECKER.redefine_many({
-    "number": lambda checker, v: _is_real(v) and abs(v) <= sys.float_info.max,
-    "integer": lambda checker, v: isinstance(v, int) and checker.is_type(v, "number"),
-})
-_Validator = validators.extend(Draft202012Validator, type_checker=_TYPES)
-_KIND_VALIDATOR = _Validator({"type": "object", "required": ["kind"],
-                              "properties": {"kind": {"enum": list(_KINDS)}}})
-_VALIDATORS = {kind: _Validator(_object(
+# a config's kind is checked first; it picks the schema the rest is checked against
+_KIND_SCHEMA = {"type": "object", "required": ["kind"],
+                "properties": {"kind": {"enum": list(_KINDS)}}}
+_SCHEMAS = {kind: _object(
     {"kind": {}, **{f: _FIELDS[f] for f in ("out_dir", *req, *opt)},
      **({"chain": _chain_schema(req)} if "chain" in req else {})}, *req
-)) for kind, (_, req, _, opt) in _KINDS.items()}
+) for kind, (_, req, _, opt) in _KINDS.items()}
 
 
 def run_experiment(config, out_dir=None, seed=None, threads=1):

@@ -283,9 +283,11 @@ def gaussian_quadratic_init_divergences(r, s, n_particles, d, mean, std):
     """
     import numpy as np
 
-    if not (r > 0.0 and s >= 0.0 and std > 0.0 and n_particles >= 1 and d >= 1):
-        raise ConfigurationError("need r > 0, s >= 0, std > 0, N >= 1, d >= 1")
+    if not (r > 0.0 and s >= 0.0 and math.inf > std > 0.0 and n_particles >= 1 and d >= 1):
+        raise ConfigurationError("need r > 0, s >= 0, finite std > 0, N >= 1, d >= 1")
     mean = np.broadcast_to(np.atleast_1d(np.asarray(mean, dtype=float)), (d,))
+    if not np.isfinite(mean).all():
+        raise ConfigurationError(f"need a finite mean, got {mean.tolist()}")
     var = std * std
     n = n_particles
     # per-coordinate precision spectrum of the stationary Gaussian:

@@ -1,7 +1,9 @@
+import copy
 import csv
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,8 +18,12 @@ from mfkl import ConfigurationError, MissingArtifactError
 from mfkl.harness import (
     EXPERIMENT_KINDS,
     _FIELDS,
+    _KIND_SCHEMA,
     _KINDS,
+    _SCHEMAS,
+    _is_real,
     _random_states,
+    _schema_errors,
     decaying_segment,
     emit_report,
     load_config,
@@ -978,3 +984,130 @@ def test_readme_kind_table_lists_each_kinds_fields():
         kind: (sorted(required), sorted(optional))
         for kind, (_, required, _, optional) in _KINDS.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# the config schema walker, against jsonschema and against schema drift
+
+_RICH_CONFIGS = [
+    {**_KIND_CONFIGS["constants"], "lsi": {"rho_bar": 1.0, "mmm": 0.1, "eps": 0.5},
+     "model": _QUAD, "n_particles": 3, "d": 2},
+    {**_FLAT_CONVEX_SAMPLE,
+     "init": {"kind": "gaussian", "mean": [0.0, 1.0], "std": 1.0, "wrap": False}},
+    {**_KIND_CONFIGS["converge"], "damping": 0.5, "tol": 1e-8, "max_iter": 50, "n_bins": 20},
+    {**_KIND_CONFIGS["sweep_h"], "burn_in": 0.2, "slope_gate": [1.5, 2.5]},
+]
+_MUTANT_VALUES = [
+    None, True, False, 0, 1, -1, 4.0, 0.5, -0.5, 0.95, math.nan, math.inf, -math.inf, 10**400,
+    2**70, 1e308, "x", "", "point", "x2", "sample", [], [1.0], [math.nan], [1, 2, 3],
+    [[1.0], ["a"]], {}, {"a": 1}, {"lo": 0, "hi": 1, "n_cells": 3},
+]
+_ODD_KEYS = ["odd key", "it's", "back\\slash", "_u", "9a", "x"]
+_MUTANT_KEYS = ["kind", *_ODD_KEYS, *_FIELDS, *sorted(
+    {name for schema in _FIELDS.values() for name in schema.get("properties", {})})]
+
+
+def _slots(value, where=()):
+    """The key path of ``value`` and of every field and item nested in it."""
+    yield where
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _slots(item, (*where, key))
+
+
+def _mutant(config, rnd):
+    """``config`` with one to three edits: a value replaced or a key deleted
+    anywhere, or a field (known, unknown or oddly named) or an item added."""
+    config = copy.deepcopy(config)
+    for _ in range(rnd.randint(1, 3)):
+        where = rnd.choice(list(_slots(config)))
+        parent = config
+        for key in where[:-1]:
+            parent = parent[key]
+        target = parent[where[-1]] if where else config
+        new, edit = copy.deepcopy(rnd.choice(_MUTANT_VALUES)), rnd.random()
+        if where and edit < 0.45:
+            parent[where[-1]] = new
+        elif where and edit < 0.65 and isinstance(parent, dict):
+            del parent[where[-1]]
+        elif isinstance(target, dict):
+            target[rnd.choice(_MUTANT_KEYS)] = new
+        elif isinstance(target, list):
+            target.append(new)
+    return config
+
+
+def test_schema_walker_matches_jsonschema_on_mutated_configs():
+    # every error, in order, with its path, keyword, message and value, so the
+    # first error by path, which validate_config reports, is the same too
+    jsonschema = pytest.importorskip("jsonschema")
+    draft = jsonschema.Draft202012Validator
+    validator = jsonschema.validators.extend(draft, type_checker=draft.TYPE_CHECKER.redefine_many({
+        "number": lambda checker, v: _is_real(v) and abs(v) <= sys.float_info.max,
+        "integer": lambda checker, v: isinstance(v, int) and checker.is_type(v, "number"),
+    }))
+    odd_keys_schema = {"type": "object",
+                       "properties": {name: {"type": "integer"} for name in _ODD_KEYS}}
+    references = {id(schema): validator(schema)
+                  for schema in (_KIND_SCHEMA, odd_keys_schema, *_SCHEMAS.values())}
+    seen = set()
+
+    def same_errors(schema, value):
+        expected = [(e.json_path, e.validator, e.message, id(e.instance))
+                    for e in references[id(schema)].iter_errors(value)]
+        got = [(path, keyword, message, id(v))
+               for path, keyword, message, v in _schema_errors(schema, value)]
+        assert got == expected, value
+        seen.update(keyword for _, keyword, _, _ in got)
+        return got
+
+    rnd = random.Random(2024)
+    bases = [*_KIND_CONFIGS.values(), *_RICH_CONFIGS]
+    for _ in range(2400):
+        config = _mutant(rnd.choice(bases), rnd)
+        if not same_errors(_KIND_SCHEMA, config):
+            same_errors(_SCHEMAS[config["kind"]], config)
+    for name in _ODD_KEYS:
+        for value in _MUTANT_VALUES:
+            same_errors(odd_keys_schema, {name: value})
+    assert seen == {"type", "enum", "minimum", "maximum", "exclusiveMinimum", "minItems",
+                    "maxItems", "additionalProperties", "required"}
+
+
+@pytest.mark.parametrize("name, path", [
+    ("odd key", "$['odd key']"), ("it's", "$['it\\'s']"), ("_u", "$['_u']"), ("u_1", "$.u_1"),
+])
+def test_schema_walker_json_paths(name, path):
+    schema = {"properties": {name: {"items": {"type": "integer"}}}}
+    assert [error[0] for error in _schema_errors(schema, {name: [1, 4.0]})] == [path + "[1]"]
+
+
+def _keywords(schema):
+    """Every (keyword, argument) of ``schema`` and of the schemas under it."""
+    for keyword, arg in schema.items():
+        yield keyword, arg
+        for subschema in (arg.values() if keyword == "properties"
+                          else [arg] if keyword == "items" else []):
+            yield from _keywords(subschema)
+
+
+def test_every_schema_keyword_is_one_the_walker_implements():
+    for schema in (_KIND_SCHEMA, *_SCHEMAS.values()):
+        for keyword, arg in _keywords(schema):
+            for value in _MUTANT_VALUES:
+                list(_schema_errors({keyword: arg}, value))  # raises on any other keyword
+            if keyword == "enum":  # the walker's enum test does not tell 1 from True
+                assert all(isinstance(name, str) for name in arg)
+    with pytest.raises(ValueError, match="'pattern' is not implemented"):
+        list(_schema_errors({"pattern": "^a"}, "b"))
+    with pytest.raises(ValueError, match="'additionalProperties' is not implemented"):
+        list(_schema_errors({"additionalProperties": {"type": "number"}}, {"x": 1}))
+
+
+def test_importing_the_package_loads_no_jsonschema():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, mfkl, mfkl.harness, mfkl.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "[]\n"

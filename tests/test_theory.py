@@ -319,3 +319,14 @@ def test_nan_input_raises_naming_it(name, function, error):
     label = "N" if name == "n_particles" else name  # messages write the particle count N
     with pytest.raises(error, match=rf"\b{label}\b"):
         fn(**{**valid, name: math.nan})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("mean", math.nan), ("mean", math.inf), ("mean", -math.inf), ("mean", [0.0, math.nan]),
+    ("std", math.nan), ("std", math.inf), ("std", -math.inf),
+])
+def test_gaussian_init_divergences_reject_non_finite_mean_or_std(name, value):
+    valid = dict(r=1.0, s=0.25, n_particles=4, d=2, mean=0.0, std=1.0)
+    m.gaussian_quadratic_init_divergences(**valid)
+    with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
+        m.gaussian_quadratic_init_divergences(**{**valid, name: value})

@@ -19,6 +19,7 @@ from .errors import (
     NumericalDomainError,
     ObserverError,
     StepSizeWarning,
+    _require_integer,
 )
 from .model import ParticleState, _first_non_finite, potential_gradient, readonly_state
 from .rng import RngStream, derive_seed
@@ -44,8 +45,10 @@ class ChainParams:
             raise ConfigurationError("friction gamma must be positive")
         if not self.h < 1.0 / self.gamma:
             raise ConfigurationError("need h < 1/gamma so the damping stays in (0, 1)")
+        _require_integer("n_steps", self.n_steps)
         if self.n_steps < 0:
             raise ConfigurationError("n_steps must be nonnegative")
+        _require_integer("master_seed", self.master_seed)
         if not 0 <= int(self.master_seed) <= 0xFFFFFFFFFFFFFFFF:
             raise ConfigurationError("master_seed must fit in 64 bits")
 
@@ -131,6 +134,7 @@ class Observer:
     """
 
     def __init__(self, fn, stride=1):
+        _require_integer("stride", stride)
         if stride < 1:
             raise ConfigurationError("observer stride must be >= 1")
         self.fn = fn
@@ -230,6 +234,7 @@ def _initial_law(law, space):
         raise ConfigurationError(f"{kind} law on {space.kind} does not read field(s): {unread}")
 
     def draw(n, rng):
+        _require_integer("n_particles", n)
         if n < 1:
             raise ConfigurationError("need at least one particle")
         return ParticleState(positions(n, rng), rng.normal_matrix((n, d)), space)

@@ -4,6 +4,8 @@ Each class carries the process exit code used by the command-line driver,
 so library errors map onto stable shell-level diagnostics.
 """
 
+import numbers
+
 
 class MfklError(Exception):
     """Base class for all mfkl errors."""
@@ -62,3 +64,9 @@ class ObserverError(MfklError):
 
 class StepSizeWarning(UserWarning):
     """The step size exceeds the range covered by the non-asymptotic theory."""
+
+
+def _require_integer(name, value):
+    """Reject a count or seed that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")

@@ -220,20 +220,6 @@ def _require_sweep_grid(config, name):
     return grid
 
 
-def _first_kept_step(config):
-    """First step whose ``sweep_h`` record is kept; at least one record
-    (stride 10 by default) must fall at or after it."""
-    stride = config.get("stride", 10)
-    n_steps = config["chain"].get("n_steps", 0)
-    first_kept = int(config.get("burn_in", 0.2) * n_steps)
-    if n_steps - n_steps % stride < first_kept:
-        raise ConfigurationError(
-            f"no observer record falls after burn-in (stride {stride}, "
-            f"n_steps {n_steps}, first kept step {first_kept})"
-        )
-    return first_kept
-
-
 def _oracle_density(config, model):
     """``() -> density``: the model's capability and the grid are checked
     now, the fixed point runs on call (its non-convergence is a run failure,
@@ -325,7 +311,14 @@ def _prepare_sample(config):
 
 def _prepare_sweep_h(config):
     h_grid = _require_sweep_grid(config, "h_grid")
-    first_kept = _first_kept_step(config)
+    # at least one record (stride 10 by default) must fall at or after burn-in
+    stride, n_steps = config.get("stride", 10), config["chain"].get("n_steps", 0)
+    first_kept = int(config.get("burn_in", 0.2) * n_steps)
+    if n_steps - n_steps % stride < first_kept:
+        raise ConfigurationError(
+            f"no observer record falls after burn-in (stride {stride}, "
+            f"n_steps {n_steps}, first kept step {first_kept})"
+        )
     per_h = [_chain_params(config, h) for h in h_grid]
     gate = config.get("slope_gate", [1.5, 2.5])
     if gate[0] > gate[1]:
@@ -335,7 +328,6 @@ def _prepare_sweep_h(config):
     f = OBSERVABLES[obs_id][0]
     oracle_value = _oracle_value(config, model, f)
     n_particles, reps = config["n_particles"], config.get("reps", 4)
-    stride = config.get("stride", 10)
 
     def visit(step, state):
         """Particle-average observable after burn-in, None before it (the

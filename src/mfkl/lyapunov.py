@@ -62,9 +62,6 @@ class LyapunovSpec:
         consts = lyapunov_constants(model.space, gamma, model.coeffs, n_particles)
         if model.external_potential is None:
             raise CapabilityError("model does not expose its external potential")
-        c0 = model.coeffs.c0
-        if c0 is not None and consts.alpha > math.sqrt(c0 / 2.0) + 1e-12:
-            raise InvariantViolationError("alpha exceeds sqrt(c0/2)")
         return cls(kind=ENERGY_CUBED, alpha=consts.alpha, v_ref=model.external_potential)
 
 
@@ -137,7 +134,7 @@ def estimate_kernel_drift(model, state, params, spec, m_draws=10_000, rng=None):
     se = float(np.std(values, ddof=1) / math.sqrt(m_draws))
     n = state.positions.shape[0]
     consts = lyapunov_constants(state.space, params.gamma, model.coeffs, n)
-    rhs = (1.0 - params.gamma * params.h) * current + n * params.h * consts.torus_additive
+    rhs = params.eta * current + n * params.h * consts.torus_additive
     holds = pv - 3.0 * se <= rhs
     margin = (rhs - pv) / se if se > 0.0 else math.inf
     return DriftReport(

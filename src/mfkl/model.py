@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, NumericalDomainError
+from .errors import CapabilityError, ConfigurationError, NumericalDomainError, _require_integer
 
 EUCLIDEAN = "euclidean"
 TORUS = "torus"
@@ -70,7 +70,8 @@ class Space:
     def __post_init__(self):
         if self.kind not in (EUCLIDEAN, TORUS):
             raise ConfigurationError(f"unknown space kind {self.kind!r}")
-        if int(self.d) < 1:
+        _require_integer("d", self.d)
+        if self.d < 1:
             raise ConfigurationError("space dimension must be >= 1")
 
     @property
@@ -180,8 +181,6 @@ class ModelCoefficients:
     m_bnd: float | None = None
     lambda_growth: float | None = None
     r_conf: float | None = None
-    k_conf: float | None = None
-    l_hess: float | None = None
     c0: float | None = None
     c1: float | None = None
     r0_low: float | None = None
@@ -352,9 +351,7 @@ def _confinement(r):
     def external(x):
         return 0.5 * r * np.sum(np.atleast_1d(x) ** 2, axis=-1)
 
-    return external, dict(
-        r_conf=r, k_conf=0.0, l_hess=r, c0=0.5 * r, c1=0.5 * r, r0_low=0.0, r1_up=0.0
-    )
+    return external, dict(r_conf=r, c0=0.5 * r, c1=0.5 * r, r0_low=0.0, r1_up=0.0)
 
 
 def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pairwise"):

@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolationError,
     NonConvergenceError,
     NumericalDomainError,
+    _require_integer,
 )
 
 _NORMALIZATION_TOL = 1e-12
@@ -35,6 +36,7 @@ class GridSpec:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ConfigurationError("grid needs hi > lo")
+        _require_integer("n_cells", self.n_cells)
         if self.n_cells < 2:
             raise ConfigurationError("grid needs at least two cells")
 
@@ -155,7 +157,6 @@ def self_consistent_fixed_point(model, grid, damping=0.5, tol=1e-10, max_iter=50
         u = np.asarray(model.linear_derivative(dens, centers), dtype=float)
         return GridDensity.from_unnormalized(grid, np.exp(-(u - u.min())))
 
-    iterations = 0
     change = math.inf
     for iterations in range(1, max_iter + 1):
         image = picard_image(density)

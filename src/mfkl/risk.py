@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import run_replicas
-from .errors import ConfigurationError, NumericalDomainError
+from .errors import ConfigurationError, NumericalDomainError, _require_integer
 
 
 @dataclass
@@ -64,6 +64,7 @@ def quadratic_risk(
 
 
 def _require_replicas(reps):
+    _require_integer("reps", reps)
     if reps < 8:
         raise ConfigurationError(f"quadratic risk needs at least 8 replicas, got {reps}")
 

@@ -10,7 +10,9 @@ defining expressions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     CapabilityError,
@@ -21,59 +23,46 @@ from .errors import (
 from .model import EUCLIDEAN, TORUS
 
 
-def _close(x, y):
-    return math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-300)
-
-
 @dataclass(frozen=True)
 class TheoryConstants:
     """Contraction/bias constants of the entropy decay estimate.
 
     ``a`` weights the gradient part of the modified entropy, ``kappa`` is
     the per-unit-step contraction rate, and ``c2`` multiplies the
-    ``N d^3 h^4`` stationary bias.  ``rho`` and ``delta_n`` are the
-    (possibly defective) log-Sobolev constants supplied as inputs, and
-    ``c1_hat`` is the trajectory-moment constant estimate.
+    ``N d^3 h^4`` stationary bias; all three are derived from the inputs,
+    with a = gamma/(7 + 3(gamma+3)^2).  ``rho`` and ``delta_n`` are the
+    (possibly defective) log-Sobolev constants, and ``c1_hat`` is the
+    trajectory-moment constant estimate.
     """
 
     gamma: float
     rho: float
     c1_hat: float
-    a: float
-    kappa: float
-    c2: float
+    a: float = field(init=False)
+    kappa: float = field(init=False)
+    c2: float = field(init=False)
     delta_n: float = 0.0
 
     def __post_init__(self):
-        a, kappa, c2 = _contraction(self.gamma, self.rho, self.c1_hat)
+        for name, value in (("gamma", self.gamma), ("rho", self.rho)):
+            if not value > 0.0:  # not <= 0: NaN is rejected by name too
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+        if not self.c1_hat >= 0.0:
+            raise ConfigurationError(f"c1_hat must be nonnegative, got {self.c1_hat}")
         if not self.delta_n >= 0.0:
             raise ConfigurationError(f"delta_n must be nonnegative, got {self.delta_n}")
-        if not (_close(self.a, a) and _close(self.kappa, kappa) and _close(self.c2, c2)):
-            raise ConfigurationError(
-                "TheoryConstants fields are not the values implied by their inputs"
-            )
-        if not 0.0 < self.kappa < 1.0:
+        a = self.gamma / (7.0 + 3.0 * (self.gamma + 3.0) ** 2)
+        kappa = a / (3.0 * max(1.0, 1.0 / self.rho) + 6.0 * a)
+        if not 0.0 < kappa < 1.0:
             raise NumericalDomainError("kappa left (0, 1)")
-
-
-def _contraction(gamma, rho, c1_hat):
-    """``(a, kappa, c2)`` with a = gamma/(7 + 3(gamma+3)^2), from checked inputs."""
-    for name, value in (("gamma", gamma), ("rho", rho)):
-        if not value > 0.0:  # not <= 0: NaN is rejected by name too
-            raise ConfigurationError(f"{name} must be positive, got {value}")
-    if not c1_hat >= 0.0:
-        raise ConfigurationError(f"c1_hat must be nonnegative, got {c1_hat}")
-    a = gamma / (7.0 + 3.0 * (gamma + 3.0) ** 2)
-    kappa = a / (3.0 * max(1.0, 1.0 / rho) + 6.0 * a)
-    return a, kappa, (1.0 / kappa) * (9.0 + 1.0 / a) * c1_hat
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "c2", (1.0 / kappa) * (9.0 + 1.0 / a) * self.c1_hat)
 
 
 def contraction_constants(gamma, rho, c1_hat=0.0, delta_n=0.0):
     """Evaluate a = gamma/(7 + 3(gamma+3)^2) and its derived constants."""
-    a, kappa, c2 = _contraction(gamma, rho, c1_hat)
-    return TheoryConstants(
-        gamma=gamma, rho=rho, c1_hat=c1_hat, a=a, kappa=kappa, c2=c2, delta_n=delta_n
-    )
+    return TheoryConstants(gamma, rho, c1_hat, delta_n)
 
 
 def entropy_bound(n, n_particles, d, h, h0, i0, constants):
@@ -281,8 +270,6 @@ def gaussian_quadratic_init_divergences(r, s, n_particles, d, mean, std):
     and the stationary laws are Gaussian, so the divergences are exact.
     Returns ``(h0, i0)``.
     """
-    import numpy as np
-
     if not (r > 0.0 and s >= 0.0 and math.inf > std > 0.0 and n_particles >= 1 and d >= 1):
         raise ConfigurationError("need r > 0, s >= 0, finite std > 0, N >= 1, d >= 1")
     mean = np.broadcast_to(np.atleast_1d(np.asarray(mean, dtype=float)), (d,))

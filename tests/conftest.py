@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,22 @@ def random_state(model, n_particles, rng, scale=1.0):
 @pytest.fixture
 def make_random_state():
     return random_state
+
+
+@pytest.fixture
+def raises_exactly():
+    """``check(call, error, message)``: ``call()`` raises ``error`` itself, not
+    a subclass, with the message ``message`` (a string, or a compiled regex
+    that must match all of it)."""
+
+    def check(call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        text = str(info.value)
+        if isinstance(message, re.Pattern):
+            assert message.fullmatch(text), text
+        else:
+            assert text == message
+
+    return check

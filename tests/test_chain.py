@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -509,3 +510,64 @@ class TestRunReplicas:
         run_replicas(quad_interacting, law, 3, params, 4, lambda s, x: s)
         assert calls == {"normals": 4 * (params.n_steps + init_calls),
                          "gradient": 4 * (params.n_steps + 1)}
+
+
+_QUAD = m.quadratic_model(1.0, 0.25)
+_R1 = Space("euclidean", 1)
+_PARAMS = ChainParams(h=0.05, gamma=1.0, n_steps=1)
+
+
+@pytest.mark.parametrize("field, value, build", [
+    (field, value, build)
+    for field, build in [
+        ("n_steps", lambda v: ChainParams(0.1, 1.0, v)),
+        ("master_seed", lambda v: ChainParams(0.1, 1.0, 1, master_seed=v)),
+        ("stride", lambda v: Observer(len, stride=v)),
+        ("n_cells", lambda v: m.GridSpec(0.0, 1.0, v)),
+        ("d", lambda v: Space("euclidean", v)),
+        ("reps", lambda v: m.quadratic_risk(
+            _QUAD, np.sin, _PARAMS, 2, v, 0.0, {"kind": "point"})),
+        ("n_particles", lambda v: m.sample_initial({"kind": "point"}, v, _R1, RngStream(0))),
+    ]
+    for value in (math.nan, 2.5, 8.5, True, "3")
+])
+def test_integer_inputs_reject_non_integers(field, value, build):
+    # the config schema rejects these too; library callers get the same error
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+def test_integer_inputs_accept_numpy_integers():
+    params = ChainParams(0.1, 1.0, np.int32(3), master_seed=np.uint64(2 ** 64 - 1))
+    assert (params.n_steps, params.master_seed) == (3, 2 ** 64 - 1)
+    assert m.GridSpec(0.0, 1.0, np.int64(4)).centers.shape == (4,)
+    assert Observer(len, stride=np.int64(2)).stride == 2
+
+
+_TORUS_STATE = ParticleState([[0.5]], [[0.0]], Space("torus", 1))
+_STATE = ParticleState([[0.5]], [[0.0]], _R1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: m.verlet_step(_QUAD, _STATE, 0.0), ConfigurationError,
+                 "step size h must be positive", id="verlet_step h=0"),
+    pytest.param(lambda: m.run_chain(_QUAD, _TORUS_STATE, _PARAMS), ConfigurationError,
+                 "initial state does not live in the model's space", id="run_chain space"),
+    pytest.param(lambda: ChainParams(0.1, 0.0, 1), ConfigurationError,
+                 "friction gamma must be positive", id="gamma=0"),
+    pytest.param(lambda: ChainParams(0.1, math.nan, 1), ConfigurationError,
+                 "friction gamma must be positive", id="gamma=nan"),
+    pytest.param(lambda: ChainParams(0.1, 1.0, 1, master_seed=-1), ConfigurationError,
+                 "master_seed must fit in 64 bits", id="seed=-1"),
+    pytest.param(lambda: ChainParams(0.1, 1.0, 1, master_seed=2 ** 64), ConfigurationError,
+                 "master_seed must fit in 64 bits", id="seed=2**64"),
+    pytest.param(lambda: m.refresh_velocities(_STATE, 0.5), ConfigurationError,
+                 "refresh needs an rng or injected gaussians", id="refresh without noise"),
+    pytest.param(lambda: Observer(len, stride=0), ConfigurationError,
+                 "observer stride must be >= 1", id="stride=0"),
+    pytest.param(lambda: m.sample_initial({"kind": "point"}, 0, _R1, RngStream(0)),
+                 ConfigurationError, "need at least one particle", id="draw n=0"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

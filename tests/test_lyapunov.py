@@ -16,7 +16,7 @@ from mfkl import (
     RngStream,
     Space,
 )
-from mfkl.lyapunov import c1_moment_observer_fn
+from mfkl.lyapunov import c1_moment_observer_fn, kernel_values_monte_carlo
 
 
 def half_square(x):
@@ -336,3 +336,79 @@ class TestKernelValuesMatchKernel:
             for k in range(draws)
         ]
         assert np.array_equal(values, np.asarray(expected))
+
+
+def _euclidean_builtins():
+    xs = np.array([[1.0, 0.5], [-0.5, 1.0], [0.25, -1.0]])
+    return [
+        m.quadratic_model(1.0, 0.25),
+        m.quadratic_model(0.01, 0.0, d=2),
+        m.quadratic_model(100.0, 1.0),
+        m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=2),
+        m.gauss_attract_repel_model(0.0, 0.0, 5.0),
+        m.flat_convex_regression_model(xs, np.array([1.0, 0.0, 1.0]), ridge_r=0.5),
+    ]
+
+
+@pytest.mark.parametrize("model", _euclidean_builtins(), ids=lambda model: model.name)
+def test_for_model_alpha_never_exceeds_the_confinement_cap(model):
+    # lyapunov_constants caps alpha at sqrt(c0/2), so for_model needs no re-check
+    cap = math.sqrt(model.coeffs.c0 / 2.0)
+    for gamma in np.geomspace(1e-3, 1e3, 61):
+        spec = LyapunovSpec.for_model(model, float(gamma), n_particles=4)
+        assert 0.0 < spec.alpha <= cap
+
+
+def test_for_model_alpha_equals_the_cap_where_it_binds():
+    quad = m.quadratic_model(1.0, 0.25)
+    coeffs = m.ModelCoefficients(r_conf=1.0, c0=1e-4, c1=0.5)
+    model = m.MeanFieldModel(space=quad.space, force=quad.force, coeffs=coeffs,
+                             external_potential=quad.external_potential)
+    assert LyapunovSpec.for_model(model, 1.0).alpha == math.sqrt(1e-4 / 2.0)
+
+
+_QUAD = m.quadratic_model(1.0, 0.25)
+_NO_POTENTIAL = m.MeanFieldModel(space=_QUAD.space, force=_QUAD.force, coeffs=_QUAD.coeffs)
+_TORUS_STATE = ParticleState([[0.5]], [[0.0]], Space("torus", 1))
+_STATE = ParticleState([[0.5]], [[0.0]], _QUAD.space)
+_ENERGY = LyapunovSpec(kind=m.ENERGY_CUBED, alpha=0.1, v_ref=half_square)
+_L123 = m.ModelCoefficients(l1=1.0, l2=1.0, l3=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LyapunovSpec(kind="nope"), ConfigurationError,
+                 "unknown Lyapunov kind 'nope'", id="unknown kind"),
+    pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=-0.1, v_ref=half_square),
+                 ConfigurationError, "alpha must be nonnegative", id="alpha<0"),
+    pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=0.1), ConfigurationError,
+                 "energy_cubed needs the external potential", id="no v_ref"),
+    pytest.param(lambda: LyapunovSpec.for_model(_NO_POTENTIAL, 1.0), CapabilityError,
+                 "model does not expose its external potential", id="for_model no potential"),
+    pytest.param(lambda: m.lyapunov_value(_ENERGY, _TORUS_STATE), ConfigurationError,
+                 "energy_cubed is the Euclidean Lyapunov function", id="energy on torus"),
+    pytest.param(
+        lambda: kernel_values_monte_carlo(
+            _QUAD, _STATE, ChainParams(0.05, 1.0, 1), _ENERGY, 999, RngStream(0)),
+        ConfigurationError, "use at least 1000 Monte Carlo draws", id="m_draws=999"),
+    pytest.param(lambda: m.gaussian_sixth_moment_exact(0), NumericalDomainError,
+                 "dimension must be >= 1", id="sixth moment d=0"),
+    pytest.param(lambda: m.gaussian_sixth_moment_bound(0), NumericalDomainError,
+                 "dimension must be >= 1", id="sixth moment bound d=0"),
+    pytest.param(lambda: m.refresh_sixth_moment_bound(0.5, 1.0, 0.2, 1), NumericalDomainError,
+                 "eps must lie in (0, 1/10]", id="refresh eps"),
+    pytest.param(lambda: m.refresh_sixth_moment_bound(1.0, 1.0, 0.1, 1), NumericalDomainError,
+                 "eta must lie in (0, 1)", id="refresh eta"),
+    pytest.param(lambda: m.refresh_sixth_moment_bound(0.5, -1.0, 0.1, 1), NumericalDomainError,
+                 "need |w| >= 0 and d >= 1", id="refresh w<0"),
+    pytest.param(lambda: m.refresh_sixth_moment_bound(0.5, 1.0, 0.1, 0), NumericalDomainError,
+                 "need |w| >= 0 and d >= 1", id="refresh d=0"),
+    pytest.param(lambda: m.quad_form_cube_bound(-1.0, 0.0, 0.0, 1), NumericalDomainError,
+                 "need a, c, |b| >= 0 and d >= 1", id="cube bound a<0"),
+    pytest.param(lambda: m.moment_constant_series([[1.0, 2.0]], [[1.0, 2.0]], _L123, 1),
+                 ConfigurationError, "moment records must be (T, 3) arrays", id="record shape"),
+    pytest.param(lambda: m.estimate_moment_constant(np.zeros((0, 3)), np.zeros((0, 3)),
+                                                    _L123, 1),
+                 ConfigurationError, "no records supplied", id="no records"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

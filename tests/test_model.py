@@ -803,3 +803,37 @@ def test_ordered_reductions_match_sum_of_sorted_bitwise(axis, keepdims, transpos
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     mean = ordered_mean(values, axis, keepdims=keepdims)
     assert mean.tobytes() == (want / values.shape[axis]).tobytes()
+
+
+_R1 = Space("euclidean", 1)
+_NAN_ENERGY = m.MeanFieldModel(space=_R1, force=lambda positions, x: x,
+                               energy=lambda positions: np.nan)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ParticleState(np.zeros((0, 1)), np.zeros((0, 1)), _R1),
+                 ConfigurationError, "need at least one particle", id="N=0"),
+    pytest.param(lambda: ParticleState(np.zeros((2, 2)), np.zeros((2, 2)), _R1),
+                 ConfigurationError, "state dimension 2 does not match space dimension 1",
+                 id="dimension mismatch"),
+    pytest.param(lambda: m.system_potential(_NAN_ENERGY, [[0.0]]), NumericalDomainError,
+                 "non-finite potential value", id="non-finite potential"),
+    pytest.param(lambda: m.quadratic_model(1.0, -0.1), ConfigurationError,
+                 "quadratic model needs s >= 0", id="quadratic s<0"),
+    pytest.param(lambda: m.gauss_attract_repel_model(1.0, 0.1, 0.0), ConfigurationError,
+                 "gauss_attract_repel needs r > 0", id="gauss r=0"),
+    pytest.param(lambda: m.gauss_attract_repel_model(-1.0, 0.1, 1.0), ConfigurationError,
+                 "gauss_attract_repel needs L >= 0 and s >= 0", id="gauss L<0"),
+    pytest.param(lambda: m.gauss_attract_repel_model(1.0, -0.1, 1.0), ConfigurationError,
+                 "gauss_attract_repel needs L >= 0 and s >= 0", id="gauss s<0"),
+    pytest.param(lambda: m.flat_convex_regression_model(np.zeros((3, 2)), np.zeros(2)),
+                 ConfigurationError, "dataset must be xs (K, d) with ys (K,)",
+                 id="flat-convex shape"),
+    pytest.param(lambda: m.flat_convex_regression_model(np.zeros((3, 2)), np.zeros(3), 0.0),
+                 ConfigurationError, "ridge coefficient must be positive",
+                 id="flat-convex ridge"),
+    pytest.param(lambda: m.make_builtin_model(["quadratic"]), ConfigurationError,
+                 "model spec must be a mapping with a 'variant' key", id="spec not a mapping"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

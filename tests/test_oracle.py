@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,37 @@ class TestStationaryCovariance:
             m.stationary_covariance_quadratic(1.0, 1.0, 1.5)
         with pytest.raises(NumericalDomainError):
             m.stationary_covariance_quadratic(4000.0, 1.0, 0.05)
+
+
+_QUAD = m.quadratic_model(1.0, 0.25)
+_QUAD_2D = m.MeanFieldModel(space=m.Space("euclidean", 2), force=_QUAD.force,
+                            linear_derivative=_QUAD.linear_derivative, energy=_QUAD.energy)
+_NO_ENERGY = m.MeanFieldModel(space=_QUAD.space, force=_QUAD.force)
+_GRID = GridSpec(-1.0, 1.0, 4)
+_UNIFORM = GridDensity(_GRID, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: GridSpec(0.0, 1.0, 1), ConfigurationError,
+                 "grid needs at least two cells", id="one cell"),
+    pytest.param(lambda: GridDensity(_GRID, np.ones(3)), ConfigurationError,
+                 "values must have one entry per grid cell", id="density shape"),
+    pytest.param(lambda: m.density_total_variation(
+        _UNIFORM, GridDensity(GridSpec(-1.0, 1.0, 2), np.full(2, 0.5))),
+        ConfigurationError, "densities live on different grids", id="TV across grids"),
+    pytest.param(lambda: m.self_consistent_fixed_point(_QUAD_2D, _GRID), m.CapabilityError,
+                 "the fixed-point oracle is one-dimensional", id="fixed point d=2"),
+    pytest.param(lambda: m.self_consistent_fixed_point(_QUAD, _GRID, damping=0.0),
+                 ConfigurationError, "damping must lie in (0, 1]", id="damping=0"),
+    pytest.param(lambda: m.small_n_gibbs(_NO_ENERGY, 2, _GRID), m.CapabilityError,
+                 "Gibbs tables need a model with an energy", id="Gibbs without energy"),
+    pytest.param(lambda: m.small_n_gibbs(_QUAD_2D, 2, _GRID), m.CapabilityError,
+                 "Gibbs tables are one-dimensional", id="Gibbs d=2"),
+    pytest.param(  # damping 0.05: the last change is under tol, the residual 20x it
+        lambda: m.self_consistent_fixed_point(
+            _QUAD, m.default_grid_for_quadratic(1.0), damping=0.05, tol=1e-8),
+        NonConvergenceError,
+        re.compile(r"fixed point residual \d\.\d{3}e-\d\d exceeds 10 tol"), id="residual"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mfkl import (
     NumericalDomainError,
     RngStream,
 )
+from mfkl.risk import _fit_line
 
 
 def gaussian_reference(n_cells=2001):
@@ -242,3 +244,25 @@ class TestGeometricRate:
         fit = m.fit_geometric_rate(series)
         assert fit.rate == math.exp(slope)
         assert fit.r_squared == 1.0 - float(np.sum(resid * resid)) / tss
+
+
+_REFERENCE = GridDensity(GridSpec(-1.0, 1.0, 4), np.full(4, 0.5))
+# duck-typed reference whose tabulated values carry no mass
+_MASSLESS = SimpleNamespace(lo=-1.0, hi=1.0, centers=_REFERENCE.centers, dx=0.5,
+                            values=np.zeros(4))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: m.histogram_divergence([], _REFERENCE), ConfigurationError,
+                 "no samples supplied", id="no samples"),
+    pytest.param(lambda: m.histogram_divergence([0.0], _MASSLESS), NumericalDomainError,
+                 "reference density has no mass on its own domain", id="massless reference"),
+    pytest.param(lambda: m.histogram_divergence([0.0], _REFERENCE, kind="hellinger"),
+                 ConfigurationError, "unknown divergence kind 'hellinger'", id="unknown kind"),
+    pytest.param(lambda: _fit_line(np.ones(3), np.arange(3.0), "x"), NumericalDomainError,
+                 "no spread in x", id="fit without spread"),
+    pytest.param(lambda: m.RiskEstimate(-1.0, 0.0, 8), NumericalDomainError,
+                 "risk estimate must be nonnegative", id="negative risk"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

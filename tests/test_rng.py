@@ -158,3 +158,11 @@ def test_writing_into_drawn_normals_leaves_later_draws_unchanged():
         got[...] = np.nan
     # the split requests are one stream
     assert np.concatenate(drawn).tobytes() == RngStream(5).normals(sum(sizes)).tobytes()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: PerParticleStreams(1, [0, 1]).normal_matrix((3, 2)), ValueError,
+                 "row count does not match number of particle streams", id="row mismatch"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

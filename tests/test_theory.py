@@ -32,12 +32,14 @@ class TestContractionConstants:
         assert m.contraction_constants(1.0, 1.0).kappa == m.contraction_constants(1.0, 10.0).kappa
 
     def test_tampered_fields_rejected(self):
-        tc = m.contraction_constants(1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            m.TheoryConstants(
-                gamma=tc.gamma, rho=tc.rho, c1_hat=tc.c1_hat,
-                a=tc.a * 1.01, kappa=tc.kappa, c2=tc.c2,
-            )
+        # a, kappa and c2 are derived, never inputs
+        with pytest.raises(TypeError):
+            m.TheoryConstants(1.0, 1.0, 0.0, a=1.0 / 55.0)
+        assert m.TheoryConstants(1.0, 1.0, 0.0) == m.contraction_constants(1.0, 1.0)
+        tc = dataclasses.replace(m.contraction_constants(1.0, 1.0, c1_hat=1.0), gamma=2.0)
+        fresh = m.contraction_constants(2.0, 1.0, c1_hat=1.0)
+        assert (tc.a, tc.kappa, tc.c2) == (fresh.a, fresh.kappa, fresh.c2)
+        assert tc.a != m.contraction_constants(1.0, 1.0).a
 
     @pytest.mark.parametrize("field, value", [
         ("gamma", 0.0), ("gamma", -1.0), ("rho", 0.0), ("rho", -1.0),
@@ -330,3 +332,33 @@ def test_gaussian_init_divergences_reject_non_finite_mean_or_std(name, value):
     m.gaussian_quadratic_init_divergences(**valid)
     with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
         m.gaussian_quadratic_init_divergences(**{**valid, name: value})
+
+
+_R1 = Space("euclidean", 1)
+_DRIFT_DISABLED = ("Euclidean drift constants need positive r_conf, c0, c1; "
+                   "the drift diagnostic is disabled")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: m.risk_bounds(1.0, 10, 0.1, "nope"), ConfigurationError,
+                 "unknown risk bound mode 'nope'", id="risk bound mode"),
+    pytest.param(lambda: LsiConstants(1.0, 0.1, eps=1.0), ConfigurationError,
+                 "eps must lie in (0, 1)", id="eps=1"),
+    pytest.param(lambda: LsiConstants(1.0, 0.1, eps=0.0), ConfigurationError,
+                 "eps must lie in (0, 1)", id="eps=0"),
+    pytest.param(lambda: LsiConstants(1.0, 0.1, lambda_flat=1.0), ConfigurationError,
+                 "lambda_flat must lie in [0, 1)", id="lambda_flat=1"),
+    pytest.param(lambda: m.lyapunov_constants(
+        _R1, 1.0, ModelCoefficients(r_conf=0.0, c0=0.5, c1=0.5), 1),
+        CapabilityError, _DRIFT_DISABLED, id="r_conf=0"),
+    pytest.param(lambda: m.lyapunov_constants(
+        _R1, 1.0, ModelCoefficients(r_conf=1.0, c0=0.0, c1=0.5), 1),
+        CapabilityError, _DRIFT_DISABLED, id="c0=0"),
+    pytest.param(lambda: m.lyapunov_constants(
+        _R1, 1.0, ModelCoefficients(r_conf=1.0, c0=0.0, c1=0.0), 1),
+        CapabilityError, _DRIFT_DISABLED, id="c1=0"),
+    pytest.param(lambda: m.contraction_constants(math.inf, 1.0), NumericalDomainError,
+                 "kappa left (0, 1)", id="gamma=inf"),
+])
+def test_raise_sites(raises_exactly, call, error, message):
+    raises_exactly(call, error, message)

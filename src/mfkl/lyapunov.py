@@ -49,7 +49,7 @@ class LyapunovSpec:
         if self.kind not in (VELOCITY_SIXTH, ENERGY_CUBED):
             raise ConfigurationError(f"unknown Lyapunov kind {self.kind!r}")
         if self.kind == ENERGY_CUBED:
-            if self.alpha < 0.0:
+            if not self.alpha >= 0.0:
                 raise ConfigurationError("alpha must be nonnegative")
             if self.v_ref is None:
                 raise ConfigurationError("energy_cubed needs the external potential")
@@ -104,7 +104,13 @@ class DriftReport:
 
 def kernel_values_monte_carlo(model, state, params, spec, m_draws, rng):
     """Lyapunov values after one kernel step, one per refresh draw: the
-    chain's own transition, broadcast over ``(m_draws, N, d)`` draws."""
+    chain's own transition, broadcast over ``(m_draws, N, d)`` draws.
+
+    Working set, counted in ``(m_draws, N, d)`` float64 arrays: the draws,
+    the refreshed velocities and the new positions stay live through the
+    trailing gradient, and the torus force adds three of its own, so the
+    step peaks at about 6.4 on the torus (2.5 while the draws are made).
+    """
     if m_draws < 1000:
         raise ConfigurationError("use at least 1000 Monte Carlo draws")
     gaussians = rng.normal_matrix((m_draws, *state.positions.shape))
@@ -205,14 +211,14 @@ def refresh_sixth_moment_bound(eta, w_norm, eps, d):
         raise NumericalDomainError("eps must lie in (0, 1/10]")
     if not 0.0 < eta < 1.0:
         raise NumericalDomainError("eta must lie in (0, 1)")
-    if w_norm < 0.0 or d < 1:
+    if not (w_norm >= 0.0 and d >= 1):
         raise NumericalDomainError("need |w| >= 0 and d >= 1")
     return (1.0 + eps) * eta ** 6 * w_norm ** 6 + 87.0 * (1.0 - eta * eta) ** 3 * d ** 3 / eps ** 2
 
 
 def quad_form_cube_bound(a, b_norm, c, d):
     """Bound on E(a + b.G + c|G|^2)^3 for a standard Gaussian G."""
-    if a < 0.0 or c < 0.0 or b_norm < 0.0 or d < 1:
+    if not (a >= 0.0 and c >= 0.0 and b_norm >= 0.0 and d >= 1):
         raise NumericalDomainError("need a, c, |b| >= 0 and d >= 1")
     return (
         a ** 3

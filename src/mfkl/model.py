@@ -87,7 +87,10 @@ class Space:
         if not self.is_torus:
             return positions
         wrapped = positions - np.floor(positions)
-        return np.where(wrapped == 1.0, 0.0, wrapped)
+        # a fresh float array, 0-d and integer inputs included
+        wrapped = np.asarray(wrapped, dtype=np.result_type(wrapped, 0.0))
+        wrapped[wrapped == 1.0] = 0.0
+        return wrapped
 
     def min_image(self, delta):
         """Minimal-image displacement in (-1/2, 1/2]^d (identity on R^d)."""
@@ -508,14 +511,27 @@ def torus_trig_model(a, b, d=1):
     two_pi = 2.0 * np.pi
 
     def trig(points):
-        phase = two_pi * points
-        return np.cos(phase), np.sin(phase)
+        phase = np.asarray(two_pi * points)  # a fresh array, 0-d included
+        cosine = np.cos(phase)
+        return cosine, np.sin(phase, out=phase)
 
     def field(positions, queries):
         cos_x, sin_x = trig(positions)
-        cos_q, sin_q = (cos_x, sin_x) if queries is positions else trig(queries)
+        if queries is positions:
+            cos_q, sin_q = cos_x, sin_x
+        else:  # query buffers of the output's shape, batch axes included
+            batch = np.broadcast_shapes(queries.shape[:-2], positions.shape[:-2])
+            cos_q, sin_q = trig(np.broadcast_to(queries, batch + queries.shape[-2:]))
         c, s = (ordered_mean(t, axis=-2, keepdims=True) for t in (cos_x, sin_x))
-        return -two_pi * a * sin_q - two_pi * b * (sin_q * c - cos_q * s)
+        # the bits of -2 pi a sin_q - 2 pi b (sin_q c - cos_q s), built in the
+        # trig buffers: IEEE products commute exactly
+        pair = sin_q * c
+        cos_q *= s
+        pair -= cos_q
+        pair *= two_pi * b
+        sin_q *= -two_pi * a
+        sin_q -= pair
+        return sin_q
 
     def energy(positions):
         cos_x, sin_x = trig(np.asarray(positions, dtype=float))

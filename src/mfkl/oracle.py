@@ -36,6 +36,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ConfigurationError("grid needs hi > lo")
+        if not math.isfinite(self.hi - self.lo):  # an infinite bound, or an overflow
+            raise ConfigurationError("grid needs finite lo, hi and hi - lo")
         _require_integer("n_cells", self.n_cells)
         if self.n_cells < 2:
             raise ConfigurationError("grid needs at least two cells")

@@ -67,12 +67,22 @@ def _box_muller(words, out):
 
     ``out`` holds either one normal per word or one fewer; in the second
     case the sine member of the last pair does not fit and is returned.
+    Consumes ``words``: its memory holds the uniforms, then the cosines
+    and sines, so the transform needs one half-size buffer of its own.
     """
-    u = (words >> np.uint64(11)) * 2.0 ** -53
-    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))  # 1 - u in (0, 1]: finite log
-    angle = 2.0 * np.pi * u[1::2]
-    np.multiply(radius, np.cos(angle), out=out[0::2])
-    sine = np.sin(angle)
+    np.right_shift(words, np.uint64(11), out=words)
+    u = words.view(np.float64)
+    u[...] = words  # exact below 2**53; np.multiply(..., out=u) would copy words
+    u *= 2.0 ** -53
+    radius = np.subtract(1.0, u[0::2])  # 1 - u in (0, 1]: finite log
+    np.log(radius, out=radius)
+    np.multiply(-2.0, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    cosine, sine = u[0::2], u[1::2]
+    np.multiply(2.0 * np.pi, sine, out=sine)  # the angle
+    np.cos(sine, out=cosine)
+    np.sin(sine, out=sine)
+    np.multiply(radius, cosine, out=out[0::2])
     if out.size % 2:
         np.multiply(radius[:-1], sine[:-1], out=out[1::2])
         return radius[-1] * sine[-1]

@@ -380,6 +380,8 @@ _L123 = m.ModelCoefficients(l1=1.0, l2=1.0, l3=1.0)
                  "unknown Lyapunov kind 'nope'", id="unknown kind"),
     pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=-0.1, v_ref=half_square),
                  ConfigurationError, "alpha must be nonnegative", id="alpha<0"),
+    pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=np.nan, v_ref=half_square),
+                 ConfigurationError, "alpha must be nonnegative", id="alpha=nan"),
     pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=0.1), ConfigurationError,
                  "energy_cubed needs the external potential", id="no v_ref"),
     pytest.param(lambda: LyapunovSpec.for_model(_NO_POTENTIAL, 1.0), CapabilityError,
@@ -400,10 +402,18 @@ _L123 = m.ModelCoefficients(l1=1.0, l2=1.0, l3=1.0)
                  "eta must lie in (0, 1)", id="refresh eta"),
     pytest.param(lambda: m.refresh_sixth_moment_bound(0.5, -1.0, 0.1, 1), NumericalDomainError,
                  "need |w| >= 0 and d >= 1", id="refresh w<0"),
+    pytest.param(lambda: m.refresh_sixth_moment_bound(0.5, np.nan, 0.1, 1), NumericalDomainError,
+                 "need |w| >= 0 and d >= 1", id="refresh w=nan"),
     pytest.param(lambda: m.refresh_sixth_moment_bound(0.5, 1.0, 0.1, 0), NumericalDomainError,
                  "need |w| >= 0 and d >= 1", id="refresh d=0"),
     pytest.param(lambda: m.quad_form_cube_bound(-1.0, 0.0, 0.0, 1), NumericalDomainError,
                  "need a, c, |b| >= 0 and d >= 1", id="cube bound a<0"),
+    pytest.param(lambda: m.quad_form_cube_bound(np.nan, 0.0, 0.0, 1), NumericalDomainError,
+                 "need a, c, |b| >= 0 and d >= 1", id="cube bound a=nan"),
+    pytest.param(lambda: m.quad_form_cube_bound(0.0, np.nan, 0.0, 1), NumericalDomainError,
+                 "need a, c, |b| >= 0 and d >= 1", id="cube bound b=nan"),
+    pytest.param(lambda: m.quad_form_cube_bound(0.0, 0.0, np.nan, 1), NumericalDomainError,
+                 "need a, c, |b| >= 0 and d >= 1", id="cube bound c=nan"),
     pytest.param(lambda: m.moment_constant_series([[1.0, 2.0]], [[1.0, 2.0]], _L123, 1),
                  ConfigurationError, "moment records must be (T, 3) arrays", id="record shape"),
     pytest.param(lambda: m.estimate_moment_constant(np.zeros((0, 3)), np.zeros((0, 3)),

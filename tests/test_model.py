@@ -787,6 +787,122 @@ def test_pair_energy_memory_is_blocked():
     assert peak < 32 * 2 ** 20
 
 
+# (m_draws, N, d) of the Lyapunov Monte Carlo step: 512 KiB float64 arrays,
+# above the 256 KiB from which numpy reuses temporaries, as in lyapunov_check
+_MC_SHAPE = (4000, 8, 2)
+
+
+def _torus_drift_case(seed=4):
+    model = m.torus_trig_model(0.3, 0.2, d=2)
+    rng = m.RngStream(seed)
+    n, d = _MC_SHAPE[1:]
+    state = ParticleState(rng.uniforms(n * d).reshape(n, d), rng.normal_matrix((n, d)),
+                          model.space)
+    params = m.ChainParams(0.05, 1.0, 1)
+    return model, state, params, m.LyapunovSpec.for_model(model, params.gamma, n)
+
+
+def _mc_values_call():
+    from mfkl.lyapunov import kernel_values_monte_carlo
+
+    model, state, params, spec = _torus_drift_case()
+    return lambda: kernel_values_monte_carlo(model, state, params, spec, _MC_SHAPE[0],
+                                             m.RngStream(5))
+
+
+def _normals_call():
+    rng = m.RngStream(5)
+    return lambda: rng.normals(math.prod(_MC_SHAPE))
+
+
+def _torus_force_all_call():
+    model = m.torus_trig_model(0.3, 0.2, d=2)
+    x = m.RngStream(9).uniforms(math.prod(_MC_SHAPE)).reshape(_MC_SHAPE)
+    return lambda: model.force_all(x)
+
+
+# bounds in (m_draws, N, d) arrays: above these kernels' peaks of 6.39, 2.50
+# and 3.38, below the 8.39, 4.50 and 5.38 of full-size temporaries
+@pytest.mark.parametrize("make_call, bound", [
+    pytest.param(_mc_values_call, 6.6, id="kernel_values_monte_carlo"),
+    pytest.param(_normals_call, 2.8, id="normals"),  # output, words, half-size radius
+    pytest.param(_torus_force_all_call, 3.6, id="torus force_all"),
+])
+def test_drift_step_works_in_its_own_buffers(make_call, bound):
+    import tracemalloc
+
+    call = make_call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * math.prod(_MC_SHAPE) * 8
+
+
+def _frozen(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+def _torus_field_expression(a, b, positions, queries):
+    """The torus force as one expression, without in-place steps."""
+    from mfkl.model import ordered_mean
+
+    two_pi = 2.0 * np.pi
+    c = ordered_mean(np.cos(two_pi * positions), axis=-2, keepdims=True)
+    s = ordered_mean(np.sin(two_pi * positions), axis=-2, keepdims=True)
+    sin_q, cos_q = np.sin(two_pi * queries), np.cos(two_pi * queries)
+    return -two_pi * a * sin_q - two_pi * b * (sin_q * c - cos_q * s)
+
+
+def test_drift_step_leaves_its_inputs_alone():
+    from mfkl.lyapunov import kernel_values_monte_carlo
+
+    model, state, params, spec = _torus_drift_case(seed=6)
+    x = m.RngStream(7).uniforms(3 * 8 * 2).reshape(3, 8, 2)
+    x[0, 0] = 0.0  # signed zeros in the force
+    x_before, frozen = x.copy(), _frozen(x)
+    assert _same_bytes(model.force_all(frozen), _torus_field_expression(0.3, 0.2, x, x))
+    query = _frozen(x[1, 2])
+    assert _same_bytes(model.force(frozen, query),
+                       _torus_field_expression(0.3, 0.2, x, x[1, 2][None, :])[:, 0, :])
+    assert _same_bytes(model.force(frozen[0], query),
+                       _torus_field_expression(0.3, 0.2, x[0], x[1, 2][None, :])[0])
+    assert _same_bytes(frozen, x_before) and _same_bytes(query, x[1, 2])
+    pos, vel = state.positions.copy(), state.velocities.copy()
+    state.positions.flags.writeable = state.velocities.flags.writeable = False
+    kernel_values_monte_carlo(model, state, params, spec, 1000, m.RngStream(1))
+    assert _same_bytes(state.positions, pos) and _same_bytes(state.velocities, vel)
+
+
+@pytest.mark.parametrize("positions", [
+    np.array([[1.25, -0.25], [-1e-17, 3.0]]),
+    np.array([[[0.5, -2.5]], [[-(2.0 ** -54), 7.75]]]),
+    np.array(-1e-17),
+    np.array(1.5),
+    -1e-17,
+    0.25,
+    [0.5, -0.2, -1e-17],
+    np.array([1.5, -0.5, -1e-9], dtype=np.float32),
+    np.array([1, -2]),
+    np.float64(-2.5),
+], ids=lambda p: type(p).__name__ + str(np.shape(p)))
+def test_torus_wrap_is_fresh_and_leaves_its_input_alone(positions):
+    torus = Space("torus", 1)
+    before = np.array(positions, copy=True)
+    if isinstance(positions, np.ndarray):
+        positions = _frozen(positions)
+    wrapped = torus.wrap(positions)
+    reference = np.asarray(before) - np.floor(before)
+    assert _same_bytes(wrapped, np.where(reference == 1.0, 0.0, reference))
+    assert isinstance(wrapped, np.ndarray)
+    assert not np.shares_memory(wrapped, np.asarray(positions))
+    assert _same_bytes(positions, before)
+
+
 @pytest.mark.parametrize("axis", [-1, -2])
 @pytest.mark.parametrize("keepdims", [False, True])
 @pytest.mark.parametrize("transposed", [False, True])

@@ -176,6 +176,12 @@ _UNIFORM = GridDensity(_GRID, np.full(4, 0.5))
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: GridSpec(0.0, 1.0, 1), ConfigurationError,
                  "grid needs at least two cells", id="one cell"),
+    pytest.param(lambda: GridSpec(-np.inf, 0.0, 4), ConfigurationError,
+                 "grid needs finite lo, hi and hi - lo", id="lo=-inf"),
+    pytest.param(lambda: GridSpec(0.0, np.inf, 4), ConfigurationError,
+                 "grid needs finite lo, hi and hi - lo", id="hi=inf"),
+    pytest.param(lambda: GridSpec(-1e308, 1e308, 4), ConfigurationError,
+                 "grid needs finite lo, hi and hi - lo", id="width overflows"),
     pytest.param(lambda: GridDensity(_GRID, np.ones(3)), ConfigurationError,
                  "values must have one entry per grid cell", id="density shape"),
     pytest.param(lambda: m.density_total_variation(

@@ -78,7 +78,9 @@ def _verlet(model, space, x, v, h, g0):
     """
     x_new = space.wrap(x + h * v - (0.5 * h * h) * g0)
     g1 = potential_gradient(model, x_new)
-    return x_new, v - (0.5 * h) * (g0 + g1), g1
+    # the bits of v - (0.5 h)(g0 + g1), as a - b = (-b) + a exactly; with the
+    # temporary as the left operand, numpy may add v into its buffer
+    return x_new, (-0.5 * h) * (g0 + g1) + v, g1
 
 
 def verlet_step(model, state, h):
@@ -94,12 +96,14 @@ def verlet_step(model, state, h):
     return ParticleState(x_new, v_new, state.space)
 
 
-def _transition(model, space, x, v, noise, params, g0):
-    """Raw-array transition: the refresh ``eta v + sqrt(1 - eta^2) noise``,
-    then :func:`_verlet` from the leading gradient ``g0``; returns
-    ``(x_new, v_new, g1)``, broadcasting over leading axes."""
+def _transition(model, space, x, v, rng, noise_shape, params, g0):
+    """Raw-array transition: the refresh ``eta v + sqrt(1 - eta^2) G`` with
+    ``G = rng.normal_matrix(noise_shape)``, then :func:`_verlet` from the
+    leading gradient ``g0``; returns ``(x_new, v_new, g1)``, broadcasting
+    over leading axes.  The draws are a temporary of the refresh, so they
+    are freed before the Verlet step."""
     eta = params.eta
-    v = eta * v + math.sqrt(1.0 - eta * eta) * noise
+    v = eta * v + math.sqrt(1.0 - eta * eta) * rng.normal_matrix(noise_shape)
     return _verlet(model, space, x, v, params.h, g0)
 
 
@@ -175,9 +179,7 @@ def run_chain(model, init, params, observers=(), rng=None):
     for step in range(params.n_steps + 1):
         if step:
             try:
-                x, v, gradient = _transition(
-                    model, space, x, v, rng.normal_matrix(v.shape), params, gradient
-                )
+                x, v, gradient = _transition(model, space, x, v, rng, v.shape, params, gradient)
             except NumericalDomainError as err:
                 raise NumericalDomainError(f"step {step}: {err}") from err
             bad = _first_non_finite(v, x)

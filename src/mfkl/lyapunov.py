@@ -51,6 +51,8 @@ class LyapunovSpec:
         if self.kind == ENERGY_CUBED:
             if not self.alpha >= 0.0:
                 raise ConfigurationError("alpha must be nonnegative")
+            if not math.isfinite(self.alpha):
+                raise ConfigurationError("alpha must be finite")
             if self.v_ref is None:
                 raise ConfigurationError("energy_cubed needs the external potential")
 
@@ -106,18 +108,22 @@ def kernel_values_monte_carlo(model, state, params, spec, m_draws, rng):
     """Lyapunov values after one kernel step, one per refresh draw: the
     chain's own transition, broadcast over ``(m_draws, N, d)`` draws.
 
-    Working set, counted in ``(m_draws, N, d)`` float64 arrays: the draws,
-    the refreshed velocities and the new positions stay live through the
-    trailing gradient, and the torus force adds three of its own, so the
-    step peaks at about 6.4 on the torus (2.5 while the draws are made).
+    Working set, counted in ``(m_draws, N, d)`` float64 arrays: the
+    transition makes the draws as a temporary of the refresh, so they die
+    there, the trailing gradient is not kept, and the batched gradient runs
+    in cache-sized blocks, so the step peaks at about 4 (2.5 while the
+    draws are made).  The peak comes twice: at the torus wrap (the
+    velocities, the unwrapped positions, their ``floor`` and the result)
+    and at the kick (the velocities, the new positions, the trailing
+    gradient and one temporary).
     """
     if m_draws < 1000:
         raise ConfigurationError("use at least 1000 Monte Carlo draws")
-    gaussians = rng.normal_matrix((m_draws, *state.positions.shape))
     g0 = potential_gradient(model, state.positions)
-    x_new, v_new, _ = _transition(
-        model, state.space, state.positions, state.velocities, gaussians, params, g0
-    )
+    x_new, v_new = _transition(
+        model, state.space, state.positions, state.velocities,
+        rng, (m_draws, *state.positions.shape), params, g0,
+    )[:2]
     return _values_batched(spec, x_new, v_new)
 
 

@@ -224,7 +224,9 @@ class MeanFieldModel:
 
     ``force_all`` is an optional vectorized evaluation returning the force
     at every particle of ``positions`` (any number of leading batch axes);
-    its rows must coincide bitwise with per-row ``force`` calls.  Built-in
+    its rows must coincide bitwise with per-row ``force`` calls, and each
+    batch element's rows must not depend on the other batch elements, so
+    that :func:`potential_gradient` may evaluate a batch in blocks.  Built-in
     models state the force once, as ``field(positions, queries)`` at
     ``(..., M, d)`` query points, computing each query row on its own;
     ``force`` is the field at ``x`` alone, ``force_all`` at the particles.
@@ -247,14 +249,25 @@ def potential_gradient(model, positions):
 
     Accepts leading batch axes when the model provides a vectorized
     ``force_all``; otherwise falls back to one ``force`` call per particle.
+    A batch (positions with axes before ``(N, d)``) is evaluated in blocks
+    of its leading axis, each of at most ``_PAIR_BLOCK`` values (one leading
+    row at least), written into one preallocated output: ``force_all``'s
+    temporaries stay cache-sized instead of growing with the batch, and as
+    no batch element's rows depend on another's, the bits are those of one
+    call over the whole batch.
     """
     positions = np.asarray(positions, dtype=float)
-    if model.force_all is not None:
-        grad = model.force_all(positions)
-    else:
+    if model.force_all is None:
         if positions.ndim != 2:
             raise CapabilityError("batched gradients need a model with force_all")
         grad = np.stack([model.force(positions, positions[i]) for i in range(positions.shape[0])])
+    elif positions.ndim > 2:
+        rows = max(1, _PAIR_BLOCK // math.prod(positions.shape[1:]))
+        grad = np.empty(positions.shape)
+        for start in range(0, positions.shape[0], rows):
+            grad[start:start + rows] = model.force_all(positions[start:start + rows])
+    else:
+        grad = model.force_all(positions)
     bad = _first_non_finite(grad)
     if bad is not None:
         raise NumericalDomainError(f"non-finite force at particle index {bad[1]}")
@@ -277,11 +290,12 @@ def system_potential(model, positions):
 
 
 # Elements of one (..., B, N, d) pair temporary of the pair kernel, every
-# batch axis counted: 2^15 float64 values, 256 KiB.  A block keeps two such
-# arrays live (the Gaussian kernel's two buffers), well inside a 2 MiB L2
-# cache.  At N = 1024, d = 2, force_all took 14.2 ms at 2^15, 14.9-15.2 ms
-# at 2^13, 2^14 and 2^16, 17.7 ms at 2^17 and 26.0 ms at 2^18 (median of 150
-# calls each, 2-core Xeon host; the sweep is in BENCH_14.json).
+# batch axis counted, and of one block of a batched potential_gradient:
+# 2^15 float64 values, 256 KiB.  A block keeps two such arrays live (the
+# Gaussian kernel's two buffers), well inside a 2 MiB L2 cache.  At N = 1024,
+# d = 2, force_all took 14.2 ms at 2^15, 14.9-15.2 ms at 2^13, 2^14 and 2^16,
+# 17.7 ms at 2^17 and 26.0 ms at 2^18 (median of 150 calls each, 2-core Xeon
+# host; the sweep is in BENCH_14.json).
 _PAIR_BLOCK = 1 << 15
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -165,6 +166,33 @@ class TestRefresh:
         bound = m.refresh_sixth_moment_bound(eta, float(np.linalg.norm(w)), eps, d)
         std_err = vals.std(ddof=1) / math.sqrt(len(vals))
         assert vals.mean() - 3.0 * std_err <= bound
+
+
+# signed zeros, subnormals, normals and values whose sum overflows
+_KICK_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -1e-310, 1.0, -3.5,
+                1.7e308, -1.7e308, 2.0 ** 1023]
+
+
+@pytest.mark.parametrize("size", ["one", "large"])
+def test_kick_matches_textbook_form_bitwise(size):
+    # _verlet kicks with (-h/2)(g0 + g1) + v: the bits of v - (h/2)(g0 + g1)
+    # at every size, single elements and arrays of 256 KiB or more, where
+    # numpy reuses the temporary's buffer
+    from mfkl.chain import _verlet
+
+    h = 0.1
+    triples = np.array(list(itertools.product(_KICK_VALUES, repeat=3)))
+    if size == "one":
+        cases = [column[:, None] for column in triples[:, :, None]]
+    else:  # 40 * 11^3 rows of 8 bytes: 416 KiB
+        cases = [np.ascontiguousarray(np.tile(triples, (40, 1)).T)[:, :, None]]
+    for v, g0, g1 in cases:
+        model = m.MeanFieldModel(space=Space("euclidean", 1), force=None,
+                                 force_all=lambda positions, g1=g1: g1)
+        with np.errstate(over="ignore"):
+            _, v_new, _ = _verlet(model, model.space, np.zeros_like(v), v, h, g0)
+            expected = v - (0.5 * h) * (g0 + g1)
+        assert v_new.tobytes() == expected.tobytes()
 
 
 class TestKernelStep:

@@ -382,6 +382,8 @@ _L123 = m.ModelCoefficients(l1=1.0, l2=1.0, l3=1.0)
                  ConfigurationError, "alpha must be nonnegative", id="alpha<0"),
     pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=np.nan, v_ref=half_square),
                  ConfigurationError, "alpha must be nonnegative", id="alpha=nan"),
+    pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=np.inf, v_ref=half_square),
+                 ConfigurationError, "alpha must be finite", id="alpha=inf"),
     pytest.param(lambda: LyapunovSpec(kind=m.ENERGY_CUBED, alpha=0.1), ConfigurationError,
                  "energy_cubed needs the external potential", id="no v_ref"),
     pytest.param(lambda: LyapunovSpec.for_model(_NO_POTENTIAL, 1.0), CapabilityError,

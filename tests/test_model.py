@@ -127,8 +127,9 @@ class TestGradient:
         x = m.RngStream(5).normal_matrix((6, 1))
         rows = np.stack([inner.force(x, x[i]) for i in range(6)])
         assert m.potential_gradient(model, x).tobytes() == rows.tobytes()
-        with pytest.raises(CapabilityError, match="force_all"):
-            m.potential_gradient(model, np.zeros((2, 3, 1)))
+        for batch in ((2, 3, 1), (5000, 8, 1)):  # one block, and many
+            with pytest.raises(CapabilityError, match="force_all"):
+                m.potential_gradient(model, np.zeros(batch))
 
     def test_quadratic_closed_form(self):
         model = m.quadratic_model(1.0, 0.25)
@@ -788,57 +789,118 @@ def test_pair_energy_memory_is_blocked():
 
 
 # (m_draws, N, d) of the Lyapunov Monte Carlo step: 512 KiB float64 arrays,
-# above the 256 KiB from which numpy reuses temporaries, as in lyapunov_check
+# above the 256 KiB from which numpy reuses temporaries, and lyapunov_check's
+# own 10^4 draws
 _MC_SHAPE = (4000, 8, 2)
+_MC_SHAPE_FULL = (10_000, 8, 2)
 
 
-def _torus_drift_case(seed=4):
+def _torus_drift_case(shape, seed=4):
     model = m.torus_trig_model(0.3, 0.2, d=2)
     rng = m.RngStream(seed)
-    n, d = _MC_SHAPE[1:]
+    n, d = shape[1:]
     state = ParticleState(rng.uniforms(n * d).reshape(n, d), rng.normal_matrix((n, d)),
                           model.space)
     params = m.ChainParams(0.05, 1.0, 1)
     return model, state, params, m.LyapunovSpec.for_model(model, params.gamma, n)
 
 
-def _mc_values_call():
+def _mc_values_call(shape):
     from mfkl.lyapunov import kernel_values_monte_carlo
 
-    model, state, params, spec = _torus_drift_case()
-    return lambda: kernel_values_monte_carlo(model, state, params, spec, _MC_SHAPE[0],
+    model, state, params, spec = _torus_drift_case(shape)
+    return lambda: kernel_values_monte_carlo(model, state, params, spec, shape[0],
                                              m.RngStream(5))
 
 
-def _normals_call():
+def _normals_call(shape):
     rng = m.RngStream(5)
-    return lambda: rng.normals(math.prod(_MC_SHAPE))
+    return lambda: rng.normals(math.prod(shape))
 
 
-def _torus_force_all_call():
+def _torus_force_all_call(shape):
     model = m.torus_trig_model(0.3, 0.2, d=2)
-    x = m.RngStream(9).uniforms(math.prod(_MC_SHAPE)).reshape(_MC_SHAPE)
+    x = m.RngStream(9).uniforms(math.prod(shape)).reshape(shape)
     return lambda: model.force_all(x)
 
 
-# bounds in (m_draws, N, d) arrays: above these kernels' peaks of 6.39, 2.50
-# and 3.38, below the 8.39, 4.50 and 5.38 of full-size temporaries
-@pytest.mark.parametrize("make_call, bound", [
-    pytest.param(_mc_values_call, 6.6, id="kernel_values_monte_carlo"),
-    pytest.param(_normals_call, 2.8, id="normals"),  # output, words, half-size radius
-    pytest.param(_torus_force_all_call, 3.6, id="torus force_all"),
+# bounds in (m_draws, N, d) arrays: above these kernels' peaks of 4.80, 4.05,
+# 2.50 and 3.38; the step peaked at 6.39 and 6.30 while it kept its draws and
+# trailing gradient, and the normals and the torus force at 4.50 and 5.38 with
+# full-size temporaries.  The blocked gradient's temporaries are a larger
+# share of the smaller step.
+@pytest.mark.parametrize("make_call, shape, bound", [
+    pytest.param(_mc_values_call, _MC_SHAPE, 5.0, id="kernel_values_monte_carlo"),
+    pytest.param(_mc_values_call, _MC_SHAPE_FULL, 4.3, id="kernel_values_monte_carlo 10^4"),
+    pytest.param(_normals_call, _MC_SHAPE, 2.8, id="normals"),  # output, words, half radius
+    pytest.param(_torus_force_all_call, _MC_SHAPE, 3.6, id="torus force_all"),
 ])
-def test_drift_step_works_in_its_own_buffers(make_call, bound):
+def test_drift_step_works_in_its_own_buffers(make_call, shape, bound):
     import tracemalloc
 
-    call = make_call()
+    call = make_call(shape)
     tracemalloc.start()
     try:
         call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= bound * math.prod(_MC_SHAPE) * 8
+    assert peak <= bound * math.prod(shape) * 8
+
+
+# Batched potential_gradient: a batch runs in blocks of its leading axis, of
+# at most _PAIR_BLOCK values each, and must give the bytes of one force_all
+# call.
+# With (N, d) = (8, 2), a block is 2048 leading rows.
+_GRADIENT_BLOCK_SHAPES = [
+    pytest.param((5000, 8, 2), id="ragged"),
+    pytest.param((3, 1500, 8, 2), id="two leading axes"),
+    pytest.param((2048, 8, 2), id="one block"),
+]
+
+
+def _batched_case(variant, shape):
+    rng = m.RngStream(math.prod(shape))
+    if variant == "quadratic":
+        return m.quadratic_model(1.0, 0.3, d=2), rng.normal_matrix(shape)
+    if variant == "gauss":
+        return m.gauss_attract_repel_model(0.9, 0.15, 1.3, d=2), rng.normal_matrix(shape)
+    if variant == "torus":
+        return m.torus_trig_model(0.3, 0.2, d=2), rng.uniforms(math.prod(shape)).reshape(shape)
+    return _flat_convex_case(3, 2, shape)
+
+
+@pytest.mark.parametrize("shape", _GRADIENT_BLOCK_SHAPES)
+@pytest.mark.parametrize("variant", ["quadratic", "gauss", "torus", "flat_convex"])
+def test_blocked_gradient_matches_one_force_all_call_bitwise(variant, shape):
+    model, x = _batched_case(variant, shape)
+    assert _same_bytes(m.potential_gradient(model, x), model.force_all(x))
+
+
+@pytest.mark.parametrize("shape, calls", [
+    ((5000, 8, 2), [2048, 2048, 904]),
+    ((3, 1500, 8, 2), [1, 1, 1]),
+    ((2048, 8, 2), [2048]),
+    ((3, 4, 2), [3]),  # a small batch takes the same path, in one block
+    ((4097, 8), [4097]),  # no batch axis: one call, whatever its size
+])
+def test_blocked_gradient_calls_stay_within_the_budget(shape, calls):
+    from mfkl.model import _PAIR_BLOCK
+
+    inner = m.quadratic_model(1.0, 0.3, d=shape[-1])
+    seen = []
+
+    def force_all(positions):
+        seen.append(positions.shape)
+        return inner.force_all(positions)
+
+    model = m.MeanFieldModel(space=inner.space, force=inner.force, force_all=force_all)
+    x = m.RngStream(3).normal_matrix(shape)
+    assert _same_bytes(m.potential_gradient(model, x), inner.force_all(x))
+    assert [s[0] for s in seen] == calls
+    assert all(s[1:] == shape[1:] for s in seen)
+    if len(shape) > 2:
+        assert all(math.prod(s) <= _PAIR_BLOCK for s in seen)
 
 
 def _frozen(a):
@@ -861,7 +923,7 @@ def _torus_field_expression(a, b, positions, queries):
 def test_drift_step_leaves_its_inputs_alone():
     from mfkl.lyapunov import kernel_values_monte_carlo
 
-    model, state, params, spec = _torus_drift_case(seed=6)
+    model, state, params, spec = _torus_drift_case(_MC_SHAPE, seed=6)
     x = m.RngStream(7).uniforms(3 * 8 * 2).reshape(3, 8, 2)
     x[0, 0] = 0.0  # signed zeros in the force
     x_before, frozen = x.copy(), _frozen(x)

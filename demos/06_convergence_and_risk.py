@@ -57,7 +57,7 @@ print("N     risk          std err")
 for n in (8, 16, 32, 64):
     estimate = mfkl.quadratic_risk(
         model, f, risk_params, n, 32, oracle_mean,
-        {"kind": "gaussian", "mean": 0.0, "std": 1.0}, f_id="x2_clip25",
+        {"kind": "gaussian", "mean": 0.0, "std": 1.0},
     )
     print(f"{n:<4d}  {estimate.value:.5f}  {estimate.std_err:.5f}")
 print("risk shrinks with N (propagation of chaos); the dominant term is Var(f)/N")

@@ -220,6 +220,12 @@ def _require_sweep_grid(config, name):
     return grid
 
 
+def _given(config, *names):
+    """The fields among ``names`` that the config sets, as keyword arguments;
+    a field it leaves out takes the callee's own default."""
+    return {name: config[name] for name in names if name in config}
+
+
 def _oracle_density(config, model):
     """``() -> density``: the model's capability and the grid are checked
     now, the fixed point runs on call (its non-convergence is a run failure,
@@ -229,8 +235,8 @@ def _oracle_density(config, model):
         grid = GridSpec(**config["grid"])
     else:
         grid = TORUS_GRID if model.space.is_torus else GridSpec(-8.0, 8.0, 2001)
-    settings = config.get("damping", 0.5), config.get("tol", 1e-10), config.get("max_iter", 500)
-    return lambda: self_consistent_fixed_point(model, grid, *settings).density
+    settings = _given(config, "damping", "tol", "max_iter")
+    return lambda: self_consistent_fixed_point(model, grid, **settings).density
 
 
 def _oracle_value(config, model, f):
@@ -250,7 +256,7 @@ def _bounded_observable(config):
     f, f_sup = OBSERVABLES[obs_id]
     if not math.isfinite(f_sup):
         raise ConfigurationError(f"observable {obs_id!r} is unbounded; risk needs bounded f")
-    return obs_id, f
+    return f
 
 
 def _chain_model(config):
@@ -370,13 +376,13 @@ def _prepare_sweep_n(config):
     params = _chain_params(config)
     _require_replicas(config["reps"])
     model, _ = _chain_model(config)
-    obs_id, f = _bounded_observable(config)
+    f = _bounded_observable(config)
 
     def run(out_dir):
         estimates = [
             quadratic_risk(
                 model, f, params, n_particles, config["reps"],
-                config["oracle_mean"], config["init"], f_id=obs_id,
+                config["oracle_mean"], config["init"],
             )
             for n_particles in n_grid
         ]
@@ -386,7 +392,7 @@ def _prepare_sweep_n(config):
         decreasing = all(a.value > b.value for a, b in zip(estimates, estimates[1:]))
         return {
             "experiment": "sweep_N",
-            "observable": obs_id,
+            "observable": config["observable"],
             "risk_decreasing_in_N": decreasing,
             "pass": decreasing,
         }
@@ -454,7 +460,7 @@ def _prepare_lyapunov_check(config):
     model = make_builtin_model(config["model"])
     gamma, seed = per_h[0].gamma, per_h[0].master_seed
     n_particles, n_states = config["n_particles"], config.get("n_states", 100)
-    m_draws = config.get("m_draws", 10_000)
+    draws = _given(config, "m_draws")
     scales = config.get("state_scales", [0.5, 1.0, 3.0])
     spec = LyapunovSpec.for_model(model, gamma, n_particles)
     torus = model.space.is_torus
@@ -469,7 +475,7 @@ def _prepare_lyapunov_check(config):
             if torus:
                 for idx, state in enumerate(states):
                     report = estimate_kernel_drift(
-                        model, state, params, spec, m_draws=m_draws,
+                        model, state, params, spec, **draws,
                         rng=RngStream(derive_seed(seed, 1)),
                     )
                     rows.append((
@@ -480,7 +486,7 @@ def _prepare_lyapunov_check(config):
                         failures.append({"state": idx, "h": params.h})
             else:
                 fit = drift_slope_regression(
-                    model, states, params, spec, m_draws=m_draws, seed=derive_seed(seed, 1)
+                    model, states, params, spec, **draws, seed=derive_seed(seed, 1)
                 )
                 gate = 1.0 - theta * params.h + 2.0 * fit.slope_std_err
                 ok = fit.slope <= gate
@@ -516,8 +522,7 @@ def _prepare_constants(config):
         if name in config and not any(block in config for block in blocks):
             raise ConfigurationError(f"constants reads {name} only with {' or '.join(blocks)}")
     payload = asdict(contraction_constants(
-        config["gamma"], config["rho"],
-        c1_hat=config.get("c1_hat", 0.0), delta_n=config.get("delta_n", 0.0),
+        config["gamma"], config["rho"], **_given(config, "c1_hat", "delta_n")
     ))
     if "lsi" in config:
         payload["lsi"] = asdict(lsi_constants(
@@ -535,14 +540,13 @@ def _prepare_risk(config):
     params = _chain_params(config)
     _require_replicas(config["reps"])
     model, _ = _chain_model(config)
-    obs_id, f = _bounded_observable(config)
+    f = _bounded_observable(config)
     oracle_value = _oracle_value(config, model, f)
 
     def run(out_dir):
         value = oracle_value()
         estimate = quadratic_risk(
-            model, f, params, config["n_particles"], config["reps"],
-            value, config["init"], f_id=obs_id,
+            model, f, params, config["n_particles"], config["reps"], value, config["init"],
         )
         return {
             "value": estimate.value,

@@ -158,7 +158,6 @@ def estimate_kernel_drift(model, state, params, spec, m_draws=10_000, rng=None):
 class SlopeFit:
     slope: float
     slope_std_err: float
-    intercept: float
     r_squared: float
 
 
@@ -181,11 +180,9 @@ def drift_slope_regression(model, states, params, spec, m_draws=10_000, seed=0):
     v_vals = np.asarray(v_vals)
     pv_vals = np.asarray(pv_vals)
     n = len(v_vals)
-    slope, intercept, ss_v, rss, r_squared = _fit_line(
-        v_vals, pv_vals, "the Lyapunov value of the states"
-    )
+    slope, ss_v, rss, r_squared = _fit_line(v_vals, pv_vals, "the Lyapunov value of the states")
     stderr = math.sqrt(rss / (n - 2) / ss_v)
-    return SlopeFit(slope=slope, slope_std_err=stderr, intercept=intercept, r_squared=r_squared)
+    return SlopeFit(slope=slope, slope_std_err=stderr, r_squared=r_squared)
 
 
 def _require_slope_states(n_states):

@@ -80,7 +80,10 @@ class GridDensity:
     @classmethod
     def from_unnormalized(cls, grid, raw):
         raw = np.asarray(raw, dtype=float)
-        raw = np.where(np.isfinite(raw), raw, 0.0)
+        non_finite = int(np.count_nonzero(~np.isfinite(raw)))
+        if non_finite:
+            raise NumericalDomainError(
+                f"{non_finite} of {raw.size} unnormalized density values are not finite")
         total = float(np.sum(raw) * grid.dx)
         if not total > 0.0:
             raise NumericalDomainError("cannot normalize an identically-zero density")

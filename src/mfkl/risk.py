@@ -8,7 +8,7 @@ total-variation and entropy quantities appearing in the theory bounds.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +18,21 @@ from .errors import ConfigurationError, NumericalDomainError, _require_integer
 
 @dataclass
 class RiskEstimate:
-    """Across-replica mean squared error of the particle-average estimator."""
+    """Across-replica mean squared error of the particle-average estimator
+    over ``reps`` replicas, with its standard error."""
 
     value: float
     std_err: float
     reps: int
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.value < 0.0 or self.std_err < 0.0:
             raise NumericalDomainError("risk estimate must be nonnegative")
 
 
-def quadratic_risk(
-    model,
-    f,
-    params,
-    n_particles,
-    reps,
-    oracle_mean,
-    init_law,
-    f_id="f",
-):
-    """Mean squared error of ``mean_i f(X_i)`` at the final step.
+def quadratic_risk(model, f, params, n_particles, reps, oracle_mean, init_law):
+    """Mean squared error of ``mean_i f(X_i)`` about ``oracle_mean`` at the
+    final step, as a :class:`RiskEstimate`.
 
     ``f`` maps a positions array (N, d) to per-particle values (N,).  Each
     replica runs on seed ``derive(master_seed, k)``, one after another, and
@@ -52,15 +44,7 @@ def quadratic_risk(
     sq_errors = (np.asarray(estimates) - oracle_mean) ** 2
     value = float(np.mean(sq_errors))
     std_err = float(np.std(sq_errors, ddof=1) / math.sqrt(reps))
-    config = {
-        "f": f_id,
-        "n": params.n_steps,
-        "N": n_particles,
-        "h": params.h,
-        "gamma": params.gamma,
-        "seed": params.master_seed,
-    }
-    return RiskEstimate(value=value, std_err=std_err, reps=reps, config=config)
+    return RiskEstimate(value=value, std_err=std_err, reps=reps)
 
 
 def _require_replicas(reps):
@@ -122,28 +106,25 @@ def moment_observer_fn(orders=(2, 4, 6)):
     return fn
 
 
-def resolve_bin_count(n_bins, n_samples):
-    """Bin count, with ``"sturges"`` resolving from the sample size."""
-    if n_bins == "sturges":
-        n_bins = int(math.ceil(math.log2(max(n_samples, 2)) + 1.0))
-        n_bins = max(n_bins, 10)
-    if n_bins < 10:
-        raise ConfigurationError("need at least 10 histogram bins")
-    return int(n_bins)
-
-
 def histogram_divergence(samples, reference, n_bins=50, kind="tv"):
-    """Binned divergence between scalar samples and a grid density.
+    """Binned divergence between scalar samples and a grid density, over
+    ``n_bins`` (an integer, at least 10) equal bins of its domain.
 
     ``kind="kl"`` returns ``sum p log(p/q)`` over occupied bins (infinite,
     not an exception, when a reference bin has zero mass under occupied
     samples); ``kind="tv"`` returns half the L1 distance of the bin masses.
-    Out-of-range samples are clamped to the domain and counted in a warning.
+    A NaN or infinite sample raises; finite out-of-range samples are clamped
+    to the domain and counted in a warning.
     """
     samples = np.asarray(samples, dtype=float).reshape(-1)
     if samples.size == 0:
         raise ConfigurationError("no samples supplied")
-    n_bins = resolve_bin_count(n_bins, samples.size)
+    _require_integer("n_bins", n_bins)
+    if n_bins < 10:
+        raise ConfigurationError(f"need at least 10 histogram bins, got {n_bins}")
+    non_finite = int(np.count_nonzero(~np.isfinite(samples)))
+    if non_finite:
+        raise NumericalDomainError(f"{non_finite} of {samples.size} samples are not finite")
     lo, hi = reference.lo, reference.hi
     outside = int(np.sum((samples < lo) | (samples > hi)))
     if outside:
@@ -188,7 +169,7 @@ def fit_geometric_rate(series):
     if (series <= 0.0).any() or not np.isfinite(series).all():
         raise NumericalDomainError("rate fitting needs strictly positive finite values")
     y = np.log(series)
-    slope, _, _, _, r_squared = _fit_line(np.arange(series.size, dtype=float), y, "time")
+    slope, _, _, r_squared = _fit_line(np.arange(series.size, dtype=float), y, "time")
     return RateFit(rate=math.exp(slope), r_squared=r_squared)
 
 
@@ -198,7 +179,7 @@ def _require_rate_points(n_points):
 
 
 def _fit_line(x, y, x_name):
-    """Least-squares line of ``y`` on ``x``: ``(slope, intercept, ss_x, rss, r_squared)``,
+    """Least-squares line of ``y`` on ``x``: ``(slope, ss_x, rss, r_squared)``,
     with ``ss_x`` the centred and ``rss`` the residual sum of squares."""
     xc = x - x.mean()
     ss_x = float(np.sum(xc * xc))
@@ -209,4 +190,4 @@ def _fit_line(x, y, x_name):
     resid = y - intercept - slope * x
     rss = float(np.sum(resid * resid))
     tss = float(np.sum((y - y.mean()) ** 2))
-    return slope, intercept, ss_x, rss, 1.0 - rss / tss if tss > 0.0 else 1.0
+    return slope, ss_x, rss, 1.0 - rss / tss if tss > 0.0 else 1.0

@@ -97,7 +97,6 @@ class RngStream:
         seed = int(seed)
         if not 0 <= seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
-        self.seed = seed
         self._bits = np.random.Philox(key=seed)
         # normals drawn but not yet handed out start at self._buf[self._pos];
         # self._block_state is the generator state before their words were
@@ -165,10 +164,8 @@ class PerParticleStreams:
     """
 
     def __init__(self, master_seed, ranks):
-        self.ranks = list(ranks)
         self.streams = [
-            RngStream(derive_seed(int(master_seed) ^ PARTICLE_SALT, r))
-            for r in self.ranks
+            RngStream(derive_seed(int(master_seed) ^ PARTICLE_SALT, r)) for r in ranks
         ]
 
     def normal_matrix(self, shape):

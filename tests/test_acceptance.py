@@ -218,8 +218,8 @@ def test_criterion_7_propagation_of_chaos_trend(oracle_density):
         oracle_density, lambda x: np.clip(x * x, 0.0, 25.0)
     )
     init = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
-    small = m.quadratic_risk(model, f, params, 8, 64, oracle_mean, init, f_id="x2_clip25")
-    large = m.quadratic_risk(model, f, params, 64, 64, oracle_mean, init, f_id="x2_clip25")
+    small = m.quadratic_risk(model, f, params, 8, 64, oracle_mean, init)
+    large = m.quadratic_risk(model, f, params, 64, 64, oracle_mean, init)
     gap = small.value - large.value
     combined = math.hypot(small.std_err, large.std_err)
     ok = large.value < small.value and gap >= 2.0 * combined

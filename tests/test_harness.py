@@ -7,7 +7,7 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +237,59 @@ class TestLyapunovCheckKind:
         )
         assert summary["mode"] == "euclidean_slope"
         assert summary["pass"] is True
+
+    @staticmethod
+    def _report_lines(out):
+        result = run_cli("report", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        return lines[1], [line for line in lines if line.startswith("  failed: ")]
+
+    def test_torus_failure_reaches_summary_csv_and_report(self, tmp_path, monkeypatch):
+        # the drift estimate at state 1 of the first step size is made to fail
+        verdicts = iter([True, False, True, True])
+
+        def drift(*args, **kwargs):
+            return replace(m.estimate_kernel_drift(*args, **kwargs), holds=next(verdicts))
+
+        monkeypatch.setattr("mfkl.harness.estimate_kernel_drift", drift)
+        summary = run_experiment({**_LYAPUNOV_CONFIG, "h_grid": [0.05, 0.1]},
+                                 out_dir=str(tmp_path))
+        failures = [{"state": 1, "h": 0.05}]
+        assert summary["pass"] is False and summary["failures"] == failures
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["pass"] is False and written["failures"] == failures
+        rows = read_csv(tmp_path / "drift.csv")
+        assert [(r["state"], r["h"], r["holds"]) for r in rows] == [
+            ("0", "0.05", "true"), ("1", "0.05", "false"),
+            ("0", "0.1", "true"), ("1", "0.1", "true"),
+        ]
+        assert self._report_lines(tmp_path) == ("FAIL", ['  failed: {"h": 0.05, "state": 1}'])
+
+    def test_euclidean_failure_reaches_summary_csv_and_report(self, tmp_path, monkeypatch):
+        # the fitted slope is made to sit under the gate at h = 0.1, over it at h = 0.2
+        slopes = iter([0.5, 2.0])
+
+        def regression(*args, **kwargs):
+            return replace(m.drift_slope_regression(*args, **kwargs), slope=next(slopes))
+
+        monkeypatch.setattr("mfkl.harness.drift_slope_regression", regression)
+        config = {
+            "kind": "lyapunov_check", "model": {"variant": "quadratic", "r": 1.0, "s": 0.0},
+            "n_particles": 2, "chain": {"gamma": 1.0, "seed": 3}, "h_grid": [0.1, 0.2],
+            "n_states": 4, "m_draws": 1000,
+        }
+        summary = run_experiment(config, out_dir=str(tmp_path))
+        rows = read_csv(tmp_path / "drift.csv")
+        assert [(r["parameter"], r["estimate"], r["pass"]) for r in rows] == [
+            ("0.1", "0.5", "true"), ("0.2", "2.0", "false"),
+        ]
+        failures = [{"h": 0.2, "slope": 2.0, "gate": float(rows[1]["gate_hi"])}]
+        assert summary["pass"] is False and summary["failures"] == failures
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["pass"] is False and written["failures"] == failures
+        assert self._report_lines(tmp_path) == (
+            "FAIL", ["  failed: " + json.dumps(failures[0], sort_keys=True)])
 
     @pytest.mark.parametrize("model", [
         m.torus_trig_model(0.3, 0.2, d=2),
@@ -984,6 +1037,69 @@ def test_readme_kind_table_lists_each_kinds_fields():
         kind: (sorted(required), sorted(optional))
         for kind, (_, required, _, optional) in _KINDS.items()
     }
+
+
+def _readme_optional_cells():
+    """kind -> the optional-fields cell of the README's kind table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = (line.split("|")[1:-1] for line in readme.splitlines())
+    return {cells[0].strip().strip("`"): cells[2] for cells in rows
+            if len(cells) == 3 and cells[0].strip().strip("`") in _KINDS}
+
+
+def _json_literal(text):
+    """``[value]`` of a default written as a JSON literal, ``[]`` of one in words."""
+    try:
+        return [json.loads(text)]
+    except ValueError:
+        return []
+
+
+# (kind, field, default) for each optional field whose README default is a
+# JSON literal, as in `stride` (10); "(as for oracle)" and the like are words
+_README_DEFAULTS = [
+    (kind, name, value)
+    for kind, optional in _readme_optional_cells().items()
+    for name, text in re.findall(r"`(\w+)` \(([^)]*)\)", optional)
+    for value in _json_literal(text)
+]
+
+# small configs of each kind that read every field of _README_DEFAULTS: the
+# torus and the R^d mode of lyapunov_check, 3 states so that every default
+# state scale is drawn, and constants with the lsi and model blocks that
+# read n_particles and d
+_DEFAULT_BASES = {
+    **{kind: [_KIND_CONFIGS[kind]] for kind in ("sample", "sweep_h", "converge", "oracle")},
+    "lyapunov_check": [
+        {**_LYAPUNOV_CONFIG, "n_states": 3},
+        {**_LYAPUNOV_CONFIG, "model": {"variant": "quadratic", "r": 1.0, "s": 0.0},
+         "n_particles": 2, "h_grid": [0.1], "n_states": 3},
+    ],
+    "constants": [{**_KIND_CONFIGS["constants"], "c1_hat": 0.5, "delta_n": 0.01,
+                   "lsi": {"rho_bar": 1.0, "mmm": 0.1, "eps": 0.5}, "model": _QUAD,
+                   "n_particles": 3, "d": 2}],
+}
+
+
+def test_readme_defaults_cover_every_kind_with_literal_defaults():
+    assert sorted({kind for kind, _, _ in _README_DEFAULTS}) == sorted(_DEFAULT_BASES)
+    assert len(_README_DEFAULTS) == 19
+
+
+@pytest.mark.parametrize("kind, name, default", _README_DEFAULTS,
+                         ids=[f"{kind}-{name}" for kind, name, _ in _README_DEFAULTS])
+def test_readme_default_is_the_default_a_run_uses(tmp_path, kind, name, default):
+    # a run without the field and a run with it set to the README's default
+    # write the same bytes, the config they embed aside; JSON results are
+    # dumped back to text, so 0 and 0.0 differ as they do in the file
+    def written(config, out):
+        return {file: json.dumps(data, sort_keys=True) if isinstance(data, dict) else data
+                for file, data in _results(_output_bytes(config, out)).items()}
+
+    for i, base in enumerate(_DEFAULT_BASES[kind]):
+        left_out = {key: value for key, value in base.items() if key != name}
+        assert written(left_out, tmp_path / f"{i}-left-out") == written(
+            {**base, name: default}, tmp_path / f"{i}-set"), (i, name)
 
 
 # ---------------------------------------------------------------------------

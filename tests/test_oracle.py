@@ -184,6 +184,12 @@ _UNIFORM = GridDensity(_GRID, np.full(4, 0.5))
                  "grid needs finite lo, hi and hi - lo", id="width overflows"),
     pytest.param(lambda: GridDensity(_GRID, np.ones(3)), ConfigurationError,
                  "values must have one entry per grid cell", id="density shape"),
+    pytest.param(lambda: GridDensity.from_unnormalized(_GRID, [1.0, np.nan, 1.0, 1.0]),
+                 NumericalDomainError, "1 of 4 unnormalized density values are not finite",
+                 id="unnormalized nan"),
+    pytest.param(lambda: GridDensity.from_unnormalized(_GRID, [1.0, np.inf, 1.0, -np.inf]),
+                 NumericalDomainError, "2 of 4 unnormalized density values are not finite",
+                 id="unnormalized inf"),
     pytest.param(lambda: m.density_total_variation(
         _UNIFORM, GridDensity(GridSpec(-1.0, 1.0, 2), np.full(2, 0.5))),
         ConfigurationError, "densities live on different grids", id="TV across grids"),

@@ -42,16 +42,6 @@ class TestQuadraticRisk:
                 {"kind": "gaussian", "mean": 0.0, "std": 1.0},
             )
 
-    def test_config_echo(self, quad_interacting):
-        params = ChainParams(h=0.05, gamma=1.0, n_steps=10, master_seed=3)
-        est = m.quadratic_risk(
-            quad_interacting, lambda x: x[:, 0], params, 4, 8, 0.0,
-            {"kind": "gaussian", "mean": 0.0, "std": 1.0}, f_id="first_coord",
-        )
-        assert est.config == {
-            "f": "first_coord", "n": 10, "N": 4, "h": 0.05, "gamma": 1.0, "seed": 3,
-        }
-
     def test_risk_bound_consistency_with_surrogates(self, quad_interacting,
                                                     quad_oracle_density):
         # measured risk stays under the theory bound with histogram
@@ -193,14 +183,6 @@ class TestHistogramDivergence:
             assert 0.0 <= tv <= 1.0
         assert tv02 <= tv01 + tv12 + 1e-12
 
-    def test_sturges_override(self):
-        from mfkl.risk import resolve_bin_count
-
-        assert resolve_bin_count("sturges", 2 ** 16) == 17
-        assert resolve_bin_count("sturges", 100_000) == 18
-        with pytest.raises(ConfigurationError):
-            resolve_bin_count(5, 100)
-
 
 class TestGeometricRate:
     def test_exact_geometric(self):
@@ -259,6 +241,16 @@ _MASSLESS = SimpleNamespace(lo=-1.0, hi=1.0, centers=_REFERENCE.centers, dx=0.5,
                  "reference density has no mass on its own domain", id="massless reference"),
     pytest.param(lambda: m.histogram_divergence([0.0], _REFERENCE, kind="hellinger"),
                  ConfigurationError, "unknown divergence kind 'hellinger'", id="unknown kind"),
+    pytest.param(lambda: m.histogram_divergence([0.0], _REFERENCE, 9), ConfigurationError,
+                 "need at least 10 histogram bins, got 9", id="9 bins"),
+    pytest.param(lambda: m.histogram_divergence([0.0], _REFERENCE, 12.5), ConfigurationError,
+                 "n_bins must be an integer, got 12.5", id="12.5 bins"),
+    pytest.param(lambda: m.histogram_divergence([math.nan] * 5 + [0.1] * 20, _REFERENCE),
+                 NumericalDomainError, "5 of 25 samples are not finite", id="nan samples"),
+    pytest.param(lambda: m.histogram_divergence([math.nan] * 3, _REFERENCE),
+                 NumericalDomainError, "3 of 3 samples are not finite", id="all nan"),
+    pytest.param(lambda: m.histogram_divergence([math.inf, 0.1, -math.inf], _REFERENCE),
+                 NumericalDomainError, "2 of 3 samples are not finite", id="inf samples"),
     pytest.param(lambda: _fit_line(np.ones(3), np.arange(3.0), "x"), NumericalDomainError,
                  "no spread in x", id="fit without spread"),
     pytest.param(lambda: m.RiskEstimate(-1.0, 0.0, 8), NumericalDomainError,

@@ -291,11 +291,15 @@ def system_potential(model, positions):
 
 # Elements of one (..., B, N, d) pair temporary of the pair kernel, every
 # batch axis counted, and of one block of a batched potential_gradient:
-# 2^15 float64 values, 256 KiB.  A block keeps two such arrays live (the
-# Gaussian kernel's two buffers), well inside a 2 MiB L2 cache.  At N = 1024,
-# d = 2, force_all took 14.2 ms at 2^15, 14.9-15.2 ms at 2^13, 2^14 and 2^16,
-# 17.7 ms at 2^17 and 26.0 ms at 2^18 (median of 150 calls each, 2-core Xeon
-# host; the sweep is in BENCH_14.json).
+# 2^15 float64 values, 256 KiB.  The Gaussian kernel's workspace, which
+# _pair_sums has it allocate once per call and which every block reuses,
+# holds two such arrays and a (..., B, N, 1) scale, well inside a 2 MiB L2
+# cache.  At N = 1024, d = 2, force_all took 14.2 ms at 2^15, 14.9-15.2 ms
+# at 2^13, 2^14 and 2^16, 17.7 ms at 2^17 and 26.0 ms at 2^18 (median of 150
+# calls each, 2-core Xeon host; the sweep is in BENCH_14.json).  With the
+# workspace it took 6.83 ms at 2^15, 9.72 ms at 2^13, 7.73 ms at 2^14,
+# 6.45 ms at 2^16 and 8.47 ms at 2^17 (BENCH_25.json); the budget also sets
+# the blocks of a batched gradient, where 2^16 was not measured.
 _PAIR_BLOCK = 1 << 15
 
 
@@ -317,14 +321,19 @@ def _canonical_order(points_cm):
     return np.lexsort(keys[::-1], axis=-1)
 
 
-def _pair_sums(grad_w, positions, queries, width=None):
-    """Row i: the ordered sum over j of ``grad_w(queries[i], positions[j])``.
+def _pair_sums(kernel, positions, queries, width=None):
+    """Row i: the ordered sum over j of the pair terms of ``queries[i]`` and ``positions[j]``.
 
-    ``grad_w`` returns ``(..., B, N, width)`` terms; ``width`` defaults to d
-    (forces), and pair energies pass 1.  Both point sets are copied once
+    ``kernel(shape)`` is called once per call, with the pair shape
+    ``(..., B, N, d)`` of the largest block, and returns the two-argument
+    ``(x, y) -> terms`` function applied to every block; the terms are
+    ``(..., b, N, width)`` for a block of b <= B query rows, ``width``
+    defaulting to d (forces), and pair energies pass 1.  A kernel that works
+    in buffers allocates them in that call, so one workspace serves every
+    block of the call and none outlives it.  Both point sets are copied once
     into coordinate-major memory, the particles in :func:`_canonical_order`,
-    so the strided views handed to ``grad_w`` produce pair arrays whose j
-    axis is contiguous for every coordinate, and each row is numpy's
+    so the strided views handed to the terms function produce pair arrays
+    whose j axis is contiguous for every coordinate, and each row is numpy's
     pairwise sum over j in that one order.  Query rows are taken B at a
     time, with (batch size) * B * N * d <= ``_PAIR_BLOCK``: memory is
     O(B N d) instead of O(N^2 d), and blocking does not change a bit.
@@ -336,12 +345,13 @@ def _pair_sums(grad_w, positions, queries, width=None):
     cols = np.moveaxis(cols_cm[..., None, :], 0, -1)
     batch = np.broadcast_shapes(rows_cm.shape[1:-1], cols_cm.shape[1:-1])
     d, n_rows, n = cols_cm.shape[0], rows_cm.shape[-1], cols_cm.shape[-1]
-    block = max(1, _PAIR_BLOCK // max(1, math.prod(batch) * n * d))
+    block = max(1, min(n_rows, _PAIR_BLOCK // max(1, math.prod(batch) * n * d)))
     # allocated before the first block: allocated after it, the peak RSS of
     # the N=1024 pair force run grew by 0.5 MB
     out = np.empty(batch + (n_rows, width or d))
+    terms = kernel(batch + (block, n, d))
     for start in range(0, n_rows, block):
-        pairs = grad_w(rows[..., start:start + block, :, :], cols)
+        pairs = terms(rows[..., start:start + block, :, :], cols)
         out[..., start:start + block, :] = np.add.reduce(pairs, axis=-2)
     return out
 
@@ -381,24 +391,38 @@ def pairwise_model(space, grad_v, grad_w, v=None, w=None, coeffs=None, name="pai
     particles in canonical order (sorted by their coordinates' bits), not in
     the order of ``positions``; they must act elementwise over the leading
     axes and may reduce only over the last (coordinate) axis.  Pair sums are
-    taken B query rows at a time, so forces and energy need O(B N d) memory.
+    taken B query rows at a time, so forces and energy need O(B N d) memory;
+    ``grad_w`` and ``w`` are called on every block as given, and the model
+    keeps no buffer between calls.
     The self-interaction term j = i is kept, matching the empirical-measure
     definition of the force.  ``v``/``w`` enable the energy, whose pair part
     is an ordered sum over rows of each row's sum over j in canonical order;
     on the torus the callables themselves are responsible for periodicity.
-    :func:`gauss_attract_repel_model` is built on this function.
+    """
+    return _pair_model(space, grad_v, lambda shape: grad_w, v, w, coeffs, name)
+
+
+def _pair_model(space, grad_v, kernel, v, w, coeffs, name):
+    """:func:`pairwise_model` with the pair gradient given as a kernel factory.
+
+    ``kernel(shape)`` returns the ``grad_w`` of every block of one
+    :func:`_pair_sums` call, whose largest block has pair shape ``shape``;
+    :func:`gauss_attract_repel_model` allocates its workspace there.
     """
 
     def field(positions, queries):
-        return grad_v(queries) + _pair_sums(grad_w, positions, queries) / positions.shape[-2]
+        return grad_v(queries) + _pair_sums(kernel, positions, queries) / positions.shape[-2]
 
     energy = None
     if v is not None and w is not None:
+        def pair_energy(x, y):
+            return w(x, y)[..., None]
+
         def energy(positions):
             positions = np.asarray(positions, dtype=float)
             n = positions.shape[-2]
             ext = ordered_sum(v(positions), axis=-1) / n
-            rows = _pair_sums(lambda x, y: w(x, y)[..., None], positions, positions, 1)
+            rows = _pair_sums(lambda shape: pair_energy, positions, positions, 1)
             return ext + ordered_sum(rows[..., 0], axis=-1) / (2.0 * n * n)
 
     return _field_model(space, field, energy=energy, coeffs=coeffs or ModelCoefficients(),
@@ -469,18 +493,41 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
     space = Space(EUCLIDEAN, d)
     external, confinement = _confinement(r)
 
-    def pair_grad(x, y):
-        # the bits of (-2 L) exp(-|delta|^2) delta + 2 s delta: the same
-        # operations in the same order, in place in two (..., B, N, d) buffers
-        delta = x - y
-        out = np.multiply(delta, delta)
-        scale = np.add.reduce(out, axis=-1, keepdims=True)
-        np.negative(scale, out=scale)
-        np.exp(scale, out=scale)
-        np.multiply(-2.0 * big_l, scale, out=scale)
-        np.multiply(scale, delta, out=out)
-        np.multiply(2.0 * s, delta, out=delta)
-        return np.add(out, delta, out=out)
+    def pair_grad(shape):
+        # one workspace per pair-sum call, shared by its blocks (a ragged last
+        # block takes the leading rows), in one allocation of 2d + 1 planes of
+        # (..., B, N) values: the d coordinates of delta, the d of out, then
+        # the scale.  The buffers are coordinate-major like the temporaries of
+        # x - y on the kernel's views, so the j axis of each coordinate stays
+        # contiguous (C-order buffers ran 4x slower and changed the bits of
+        # the sums).  Every plane starts on a 64-byte line: with delta or out
+        # off one, as numpy's 16-byte-aligned allocations land, the pair sum
+        # at N = 1024, d = 2 took 7.0-9.3 ms instead of 6.4-6.5 ms
+        # (BENCH_25.json).
+        d, plane = shape[-1], math.prod(shape[:-1])
+        stride = -(-plane // 8) * 8
+        raw = np.empty((2 * d + 1) * stride + 7)
+        first = (-raw.ctypes.data % 64) // 8
+        planes = raw[first:first + (2 * d + 1) * stride].reshape(2 * d + 1, stride)[:, :plane]
+        delta_ws = np.moveaxis(planes[:d].reshape((d,) + shape[:-1]), 0, -1)
+        out_ws = np.moveaxis(planes[d:2 * d].reshape((d,) + shape[:-1]), 0, -1)
+        scale_ws = planes[2 * d].reshape(shape[:-1] + (1,))
+
+        def terms(x, y):
+            # the bits of (-2 L) exp(-|delta|^2) delta + 2 s delta: the same
+            # operations in the same order, in place in the workspace
+            rows = slice(x.shape[-3])
+            delta = np.subtract(x, y, out=delta_ws[..., rows, :, :])
+            out = np.multiply(delta, delta, out=out_ws[..., rows, :, :])
+            scale = np.add.reduce(out, axis=-1, keepdims=True, out=scale_ws[..., rows, :, :])
+            np.negative(scale, out=scale)
+            np.exp(scale, out=scale)
+            np.multiply(-2.0 * big_l, scale, out=scale)
+            np.multiply(scale, delta, out=out)
+            np.multiply(2.0 * s, delta, out=delta)
+            return np.add(out, delta, out=out)
+
+        return terms
 
     def pair_w(x, y):
         delta = x - y
@@ -505,8 +552,8 @@ def gauss_attract_repel_model(big_l, s, r, d=1):
         **confinement,
     )
     return replace(
-        pairwise_model(space, lambda x: r * x, pair_grad, v=external, w=pair_w, coeffs=coeffs,
-                       name=f"gauss_attract_repel(L={big_l}, s={s}, r={r})"),
+        _pair_model(space, lambda x: r * x, pair_grad, external, pair_w, coeffs,
+                    f"gauss_attract_repel(L={big_l}, s={s}, r={r})"),
         linear_derivative=linear_derivative if d == 1 else None,
         external_potential=external,
     )

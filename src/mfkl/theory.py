@@ -51,6 +51,9 @@ class TheoryConstants:
             raise ConfigurationError(f"c1_hat must be nonnegative, got {self.c1_hat}")
         if not self.delta_n >= 0.0:
             raise ConfigurationError(f"delta_n must be nonnegative, got {self.delta_n}")
+        for name in ("gamma", "rho", "c1_hat", "delta_n"):
+            # stored as floats, so that 1 and 1.0 give the same fields and bytes
+            object.__setattr__(self, name, float(getattr(self, name)))
         a = self.gamma / (7.0 + 3.0 * (self.gamma + 3.0) ** 2)
         kappa = a / (3.0 * max(1.0, 1.0 / self.rho) + 6.0 * a)
         if not 0.0 < kappa < 1.0:

@@ -1000,6 +1000,20 @@ def test_constants_n_particles_with_model_alone_runs(tmp_path):
     assert "lyapunov" in run_experiment(config, out_dir=str(tmp_path / "out"))
 
 
+def test_constants_bytes_depend_on_values_not_json_types(tmp_path):
+    # integer-valued inputs, an explicit zero and the defaults write the same
+    # constants.json, the config it embeds aside (dumped back to text, where
+    # 0 and 0.0 differ as they do in the file)
+    def written(config, out):
+        return json.dumps(_results(_output_bytes(config, out))["constants.json"], sort_keys=True)
+
+    floats = written({"kind": "constants", "gamma": 1.0, "rho": 1.0}, tmp_path / "floats")
+    assert '"c1_hat": 0.0' in floats and '"rho": 1.0' in floats
+    for i, ints in enumerate([{"gamma": 1, "rho": 1}, {"gamma": 1, "rho": 1.0, "c1_hat": 0},
+                              {"gamma": 1.0, "rho": 1, "c1_hat": 0, "delta_n": 0}]):
+        assert written({"kind": "constants", **ints}, tmp_path / f"ints-{i}") == floats, ints
+
+
 @pytest.mark.parametrize("kind", ["oracle", "constants"])
 def test_seed_on_a_kind_without_a_chain_exit_2_before_any_output(tmp_path, kind):
     out = tmp_path / "out"

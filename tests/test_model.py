@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -572,33 +574,37 @@ def _gauss_pair_grad_expression(big_l, s):
     return pair_grad
 
 
-def _captured_pair_grad(model, d, monkeypatch):
-    """The ``grad_w`` that ``model.force_all`` hands to the pair kernel."""
+def _captured_pair_kernel(model, d, monkeypatch):
+    """The kernel factory that ``model.force_all`` hands to the pair kernel."""
     import mfkl.model
 
     seen = []
     pair_sums = mfkl.model._pair_sums
 
-    def spy(grad_w, *args):
-        seen.append(grad_w)
-        return pair_sums(grad_w, *args)
+    def spy(kernel, *args):
+        seen.append(kernel)
+        return pair_sums(kernel, *args)
 
     monkeypatch.setattr(mfkl.model, "_pair_sums", spy)
     model.force_all(np.zeros((1, d)))
+    monkeypatch.setattr(mfkl.model, "_pair_sums", pair_sums)
     return seen[0]
+
+
+# coincident points (zero deltas, of either sign) and deltas whose Gaussian
+# factor is subnormal (|delta|^2 near 740) or underflows to 0
+_GAUSS_EDGE_POINTS = np.array([
+    [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.3, -1.2], [0.3, -1.2],
+    [27.2, 0.0], [0.0, -27.3], [40.0, 1e3], [-1e200, 2.0], [1e-300, -5e-324],
+])
 
 
 @pytest.mark.parametrize("coordinate_major", [False, True])
 @pytest.mark.parametrize("big_l, s", [(0.9, 0.15), (1.0, 0.0), (0.0, 0.0)])
 def test_gauss_pair_grad_matches_expression_bitwise(big_l, s, coordinate_major, monkeypatch):
-    # coincident points (zero deltas, of either sign) and deltas whose
-    # Gaussian factor is subnormal (|delta|^2 near 740) or underflows to 0
-    points = np.array([
-        [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.3, -1.2], [0.3, -1.2],
-        [27.2, 0.0], [0.0, -27.3], [40.0, 1e3], [-1e200, 2.0], [1e-300, -5e-324],
-    ])
-    pair_grad = _captured_pair_grad(m.gauss_attract_repel_model(big_l, s, 1.0, d=2), 2,
-                                    monkeypatch)
+    points = _GAUSS_EDGE_POINTS
+    kernel = _captured_pair_kernel(m.gauss_attract_repel_model(big_l, s, 1.0, d=2), 2,
+                                   monkeypatch)
     if coordinate_major:
         # the strided views the pair kernel builds from (d, N) memory
         cm = np.ascontiguousarray(points.T)
@@ -607,7 +613,10 @@ def test_gauss_pair_grad_matches_expression_bitwise(big_l, s, coordinate_major, 
         x, y = points[:, None, :], points[None, :, :]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _gauss_pair_grad_expression(big_l, s)(x, y)
+        pair_grad = kernel(np.broadcast_shapes(x.shape, y.shape))
         assert _same_bytes(pair_grad(x, y), expected)
+        # a ragged block: the leading rows of the workspace
+        assert _same_bytes(pair_grad(x[3:7], y), expected[3:7])
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -618,16 +627,131 @@ def test_gauss_pair_sums_are_accurate(n, d, monkeypatch):
     # terms one at a time reached 15.0 eps sum_j |T_ij| on these rows at d = 2
     import mfkl.model
 
-    pair_sums = mfkl.model._pair_sums
-    pair_grad = _captured_pair_grad(m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=d), d,
-                                    monkeypatch)
+    kernel = _captured_pair_kernel(m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=d), d,
+                                   monkeypatch)
     eps = np.finfo(float).eps
     for seed in range(3):
         x = m.RngStream(100 * n + 10 * d + seed).normal_matrix((n, d))
         terms = _gauss_pair_grad_expression(1.0, 0.1)(x[:, None, :], x[None, :, :])
         exact = [[math.fsum(t) for t in row] for row in np.moveaxis(terms, -2, -1).tolist()]
-        error = np.abs(pair_sums(pair_grad, x, x) - np.array(exact))
+        error = np.abs(mfkl.model._pair_sums(kernel, x, x) - np.array(exact))
         assert np.all(error <= 4.0 * eps * np.sum(np.abs(terms), axis=-2)), seed
+
+
+# The Gaussian pair kernel allocates one workspace per _pair_sums call and
+# computes every row block in it: the points of each case make the last block
+# ragged (N = 1000, d = 2 at the default budget: blocks of 16 rows, the last
+# of 8).
+_WORKSPACE_CASES = {
+    "n1000-d1": ((1000, 1), None),
+    "n1000-d2": ((1000, 2), None),
+    "n1001-d3": ((1001, 3), None),
+    "batch1-d2": ((3, 200, 2), None),
+    "batch2-d3": ((2, 3, 70, 3), None),
+    # 3 query rows per block over 10 rows: blocks of 3, 3, 3 and 1
+    "edge-points": (None, 3),
+    "edge-points-batch1": ((2,), 3),
+}
+
+
+def _workspace_points(case):
+    shape, _ = _WORKSPACE_CASES[case]
+    if case.startswith("edge-points"):
+        points = _GAUSS_EDGE_POINTS
+        if shape:  # each batch element the edge points in its own order
+            rs = np.random.RandomState(8)
+            points = np.stack([points[rs.permutation(10)] for _ in range(shape[0])])
+        return points
+    return m.RngStream(math.prod(shape)).normal_matrix(shape)
+
+
+@pytest.mark.parametrize("case", sorted(_WORKSPACE_CASES))
+def test_gauss_pair_kernel_one_workspace_per_call(case, monkeypatch):
+    import mfkl.model
+
+    x = _workspace_points(case)
+    _, rows_per_block = _WORKSPACE_CASES[case]
+    n, d = x.shape[-2:]
+    if rows_per_block is not None:
+        monkeypatch.setattr(mfkl.model, "_PAIR_BLOCK", rows_per_block * x.size)
+    model = m.gauss_attract_repel_model(0.9, 0.15, 1.3, d=d)
+    expression = _gauss_pair_grad_expression(0.9, 0.15)
+    pair_sums = mfkl.model._pair_sums
+    calls = []
+
+    def spy(kernel, *args):
+        # the bases are kept alive, so a buffer allocated afresh for a block
+        # could reuse neither the address nor the object of an earlier one
+        call = {"factory_calls": 0, "rows": [], "addresses": set(), "bases": []}
+        calls.append(call)
+
+        def spying_kernel(shape):
+            call["factory_calls"] += 1
+            terms = kernel(shape)
+
+            def spying_terms(x, y):
+                pairs = terms(x, y)
+                call["rows"].append(x.shape[-3])
+                call["addresses"].add(pairs.__array_interface__["data"][0])
+                call["bases"].append(pairs.base)
+                return pairs
+
+            return spying_terms
+
+        sums = pair_sums(spying_kernel, *args)
+        # the same sums from the one-expression pair gradient, which
+        # allocates its temporaries afresh in every block
+        assert _same_bytes(sums, pair_sums(lambda shape: expression, *args))
+        return sums
+
+    monkeypatch.setattr(mfkl.model, "_pair_sums", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        forces = model.force_all(x)
+    monkeypatch.setattr(mfkl.model, "_pair_sums", pair_sums)
+    assert len(calls) == 1
+    (call,) = calls
+    assert call["factory_calls"] == 1
+    rows = call["rows"]
+    assert len(rows) > 1 and sum(rows) == n and rows[-1] < rows[0]  # a ragged last block
+    assert len(call["addresses"]) == 1
+    # on a 64-byte line, wherever the allocator put the workspace
+    assert min(call["addresses"]) % 64 == 0
+    assert all(base is call["bases"][0] for base in call["bases"])
+    # every row in one block
+    monkeypatch.setattr(mfkl.model, "_PAIR_BLOCK", n * x.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bytes(model.force_all(x), forces)
+
+
+def test_gauss_force_all_shares_no_buffers_between_threads():
+    # two threads evaluate one model on different inputs at once: numpy
+    # releases the interpreter lock inside ufuncs, so a workspace held by the
+    # model would be overwritten mid-call and the forces would differ
+    model = m.gauss_attract_repel_model(1.0, 0.1, 1.0, d=2)
+    inputs = [m.RngStream(600 + k).normal_matrix((512, 2)) for k in range(2)]
+    expected = [model.force_all(x) for x in inputs]
+    results = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def work(k):
+        start.wait()
+        for _ in range(50):
+            results[k].append(model.force_all(inputs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(2):
+        assert len(results[k]) == 50
+        assert all(_same_bytes(forces, expected[k]) for forces in results[k]), k
 
 
 def test_blocked_torus_force_keeps_signed_zeros():

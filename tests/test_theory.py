@@ -41,6 +41,12 @@ class TestContractionConstants:
         assert (tc.a, tc.kappa, tc.c2) == (fresh.a, fresh.kappa, fresh.c2)
         assert tc.a != m.contraction_constants(1.0, 1.0).a
 
+    def test_inputs_stored_as_floats(self):
+        # integer inputs give the fields (and the JSON) of their float values
+        tc = m.contraction_constants(2, 1, c1_hat=0, delta_n=0)
+        assert dataclasses.asdict(tc) == dataclasses.asdict(m.contraction_constants(2.0, 1.0))
+        assert all(type(v) is float for v in dataclasses.asdict(tc).values())
+
     @pytest.mark.parametrize("field, value", [
         ("gamma", 0.0), ("gamma", -1.0), ("rho", 0.0), ("rho", -1.0),
         ("c1_hat", -1.0), ("delta_n", -1.0),

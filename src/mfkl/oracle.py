@@ -143,9 +143,14 @@ def self_consistent_fixed_point(model, grid, damping=0.5, tol=1e-10, max_iter=50
     """Damped Picard iteration for the stationary self-consistent density.
 
     Iterates ``mu <- (1-beta) mu + beta normalize(exp(-U_mu))`` starting from
-    ``normalize(exp(-V))`` until the L1 change per sweep drops below ``tol``.
-    Returns a :class:`FixedPointResult`; non-convergence raises (it typically
-    signals interactions strong enough for non-uniqueness).
+    ``normalize(exp(-V))`` until the L1 change per sweep drops below ``tol``,
+    and returns the fixed point this iteration reaches from that start, as a
+    :class:`FixedPointResult`; not reaching one in ``max_iter`` sweeps raises
+    :class:`NonConvergenceError`.  Past the mean-field transition several
+    fixed points exist, and the one reached need not minimize the free
+    energy: on ``torus_trig_model(0, -2.5)`` the uniform start is itself a
+    fixed point and is returned after one sweep, while from the start of
+    ``a = -1e-9`` the iteration reaches a clustered law in 266 sweeps.
     """
     _require_fixed_point_model(model)
     if not 0.0 < damping <= 1.0:

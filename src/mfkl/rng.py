@@ -3,9 +3,12 @@
 All randomness in mfkl flows through :class:`RngStream`, a thin layer over
 the Philox 4x64 counter-based generator (numpy implementation) with a
 fixed 128-bit key ``(seed, 0)`` and counter starting at zero.  Standard
-normals are produced by the Box-Muller transform on 53-bit uniforms, so the
-exact byte stream is pinned down by this module alone and can be reproduced
-by an independent implementation:
+normals are produced by the Box-Muller transform on 53-bit uniforms.  The
+same seed gives the same bytes under the same numpy version and the same
+SIMD dispatch target: numpy picks its float64 ``log`` by CPU features, and
+another target can move some normals by an ulp or two (1,715 of the first
+10^6 of seed 12345 between the AVX-512 and the baseline x86-64 targets).
+The stream is:
 
 * raw words: Philox4x64 outputs taken in counter order;
 * uniform in [0, 1): ``(word >> 11) * 2**-53``;

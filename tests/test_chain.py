@@ -539,6 +539,35 @@ class TestRunReplicas:
         assert calls == {"normals": 4 * (params.n_steps + init_calls),
                          "gradient": 4 * (params.n_steps + 1)}
 
+    @pytest.mark.parametrize("n, h, n_steps, burn_in",
+                             [(8, 0.05, 1600, 200), (32, 0.07, 1100, 150)])
+    def test_time_average_matches_exact_interacting_second_moment(self, quad_interacting,
+                                                                  n, h, n_steps, burn_in):
+        """The chain's law of x_i^2 at N > 1, where the interaction acts.
+
+        The quadratic force is linear, so the chain splits into modes: the
+        particle mean moves at stiffness r with noise of variance 1/N, and
+        each of the N - 1 deviations from it at stiffness r + 2s.  With P(k)
+        the scalar chain's exact stationary variance at stiffness k, every
+        particle has E x_i^2 = P(r)/N + P(r + 2s)(1 - 1/N) under the chain's
+        stationary law (0.708959 at N = 8, h = 0.05).  The chain reads
+        z = +0.54 and -0.20 here; with s halved in the force it read +6.4
+        and +13.5.
+        """
+        from mfkl.chain import run_replicas
+
+        r, s, reps = 1.0, 0.25, 12
+        exact = (m.stationary_covariance_quadratic(r, 1.0, h)[0, 0] / n
+                 + m.stationary_covariance_quadratic(r + 2.0 * s, 1.0, h)[0, 0] * (1.0 - 1.0 / n))
+        params = ChainParams(h=h, gamma=1.0, n_steps=n_steps, master_seed=1)
+        law = {"kind": "gaussian", "mean": 0.0, "std": 1.0}
+        runs = run_replicas(quad_interacting, law, n, params, reps,
+                            lambda step, state: float(np.mean(state.positions ** 2)), 4)
+        # observed at steps 0, 4, 8, ...: each replica's average after burn-in
+        averages = np.array([np.mean(records[burn_in // 4:]) for _, records in runs])
+        std_err = averages.std(ddof=1) / math.sqrt(reps)
+        assert abs(averages.mean() - exact) <= 4.0 * std_err, (averages.mean(), exact, std_err)
+
 
 _QUAD = m.quadratic_model(1.0, 0.25)
 _R1 = Space("euclidean", 1)

@@ -1241,3 +1241,65 @@ def test_importing_the_package_loads_no_jsonschema():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout == "[]\n"
+
+
+# A tiny pair-force `sample` (Box-Muller's log and the Gaussian kernel's exp)
+# and a drift check of the benchmark's torus shape: (m_draws, N, d) batches
+# whose particle means take the sorted-lane sum.
+_PORTABLE_RUNS = [
+    {"kind": "sample",
+     "model": {"variant": "gauss_attract_repel", "L": 1.0, "s": 0.1, "r": 1.0, "d": 2},
+     "n_particles": 64, "chain": {"h": 0.04, "gamma": 1.0, "n_steps": 6, "seed": 3},
+     "init": {"kind": "gaussian", "mean": 0.0, "std": 1.0}},
+    {"kind": "lyapunov_check", "model": {"variant": "torus_trig", "a": 0.3, "b": 0.2, "d": 2},
+     "n_particles": 8, "chain": {"h": 0.05, "gamma": 1.0, "seed": 3}, "h_grid": [0.05, 0.1],
+     "n_states": 3, "m_draws": 2000},
+]
+
+# numpy reads NPY_DISABLE_CPU_FEATURES when it is imported, so the runs on
+# the baseline target need an interpreter of their own
+_BASELINE_RUNS = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from mfkl.harness import run_experiment
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+payloads = [run_experiment(c, out_dir=f"{out}/{c['kind']}") for c in configs]
+print(json.dumps({"features": __cpu_features__, "payloads": payloads}))
+"""
+
+
+def test_runs_agree_within_a_few_ulps_with_simd_dispatch_off(tmp_path):
+    """Outputs are byte-identical only on one SIMD dispatch target: numpy
+    picks its float64 log and exp by CPU features.  On the baseline target
+    every number of these runs stays within a few ulps (at most 6 measured,
+    in a drift margin whose subtraction cancels) and every verdict holds."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("this numpy does not report its SIMD dispatch targets")
+    found = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(found)}
+    result = subprocess.run(
+        [sys.executable, "-c", _BASELINE_RUNS, json.dumps(_PORTABLE_RUNS), str(tmp_path / "off")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    baseline = json.loads(result.stdout)
+    assert not any(baseline["features"][name] for name in found)
+
+    payloads = [run_experiment(c, out_dir=str(tmp_path / "on" / c["kind"])) for c in _PORTABLE_RUNS]
+    assert baseline["payloads"] == payloads
+    assert payloads[1]["pass"]
+    for kind, name in [("sample", "trajectory.csv"), ("sample", "final_state.csv"),
+                       ("lyapunov_check", "drift.csv")]:
+        on, off = (read_csv(tmp_path / side / kind / name) for side in ("on", "off"))
+        assert len(on) == len(off) and on
+        for row_on, row_off in zip(on, off):
+            assert row_on.keys() == row_off.keys()
+            for key, a in row_on.items():
+                b = row_off[key]
+                if a in ("true", "false") or b in ("true", "false"):
+                    assert a == b, (name, key)
+                else:
+                    a, b = float(a), float(b)
+                    assert abs(a - b) <= 16 * np.spacing(max(abs(a), abs(b))), (name, key, a, b)

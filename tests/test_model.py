@@ -1089,22 +1089,62 @@ def test_torus_wrap_is_fresh_and_leaves_its_input_alone(positions):
     assert _same_bytes(positions, before)
 
 
-@pytest.mark.parametrize("axis", [-1, -2])
-@pytest.mark.parametrize("keepdims", [False, True])
-@pytest.mark.parametrize("transposed", [False, True])
-def test_ordered_reductions_match_sum_of_sorted_bitwise(axis, keepdims, transposed):
+def _check_ordered_reductions(values, axis, keepdims):
+    """``ordered_sum`` and ``ordered_mean`` give the bits of numpy's sum of
+    the sorted values, and leave the values as they were."""
     from mfkl.model import ordered_mean, ordered_sum
 
-    # a leading batch axis of 3, mixed magnitudes, and long enough reduction
-    # axes for numpy's pairwise summation to matter
-    values = m.RngStream(8).normal_matrix((3, 150, 140)) * np.logspace(-8, 8, 140)
-    if transposed:
-        values = values.swapaxes(-1, -2)
+    before = values.copy()
     want = np.sum(np.sort(values, axis=axis), axis=axis, keepdims=keepdims)
     got = ordered_sum(values, axis, keepdims=keepdims)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     mean = ordered_mean(values, axis, keepdims=keepdims)
     assert mean.tobytes() == (want / values.shape[axis]).tobytes()
+    assert _same_bytes(values, before)
+
+
+@pytest.mark.parametrize("axis", [-1, -2])
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_ordered_reductions_match_sum_of_sorted_bitwise(axis, keepdims, transposed):
+    # a leading batch axis of 3, mixed magnitudes, and long enough reduction
+    # axes for numpy's pairwise summation to matter
+    values = m.RngStream(8).normal_matrix((3, 150, 140)) * np.logspace(-8, 8, 140)
+    if transposed:
+        values = values.swapaxes(-1, -2)
+    _check_ordered_reductions(values, axis, keepdims)
+
+
+def _particle_values(kind, shape):
+    """``(..., N, d)`` values whose sum depends on the order of the N terms."""
+    rng = m.RngStream(math.prod(shape) + 1)
+    if kind == "mixed magnitudes":
+        return rng.normal_matrix(shape) * np.logspace(-8, 8, shape[-2])[:, None]
+    if kind == "-0.0":
+        return np.full(shape, -0.0)
+    if kind == "+-0 and +-1":  # zero lanes of either sign, and lanes that cancel to zero
+        picks = (rng.uniforms(math.prod(shape)) * 4).astype(int)
+        return np.array([-0.0, 0.0, -1.0, 1.0])[picks].reshape(shape)
+    # a slice of a wider array, not C-contiguous (except at one particle)
+    return _particle_values("mixed magnitudes", shape[:-1] + (shape[-1] + 1,))[..., 1:]
+
+
+@pytest.mark.parametrize("kind", ["mixed magnitudes", "-0.0", "+-0 and +-1", "sliced"])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 1024])
+def test_ordered_reductions_over_the_particle_axis_match_sum_of_sorted_bitwise(
+        monkeypatch, n, d, batch, kind):
+    """The particle axis of ``(..., N, d)`` values: a C-contiguous input with
+    d > 1 is summed in sorted lanes, which any number of lanes takes here."""
+    from mfkl import model
+
+    monkeypatch.setattr(model, "_MIN_LANES", 1)
+    values = _particle_values(kind, batch + (n, d))
+    values.flags.writeable = False
+    for axis in (-2, len(batch)):
+        for keepdims in (False, True):
+            _check_ordered_reductions(values, axis, keepdims)
 
 
 _R1 = Space("euclidean", 1)
